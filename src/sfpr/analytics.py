@@ -2,20 +2,30 @@
 
 zeta(s) comes from the alternating series accelerated by van Wijngaarden
 averaging, which converges for every s > 0 and passes through s = 2/3
-without special handling. Truncated character series carry an explicit
-tail certificate from Abel summation against the Polya-Vinogradov bound
-|sum_{n<=t} chi2(n)| <= sqrt(p) log p; tests assert the certificate, not
-just the value.
+without special handling.
 
 The leading constant
 
     C_p = 2 sum over quadratic non-residues n of n^{-3/2}
 
-admits a closed route C_p = zeta(3/2)(1 - p^{-3/2}) - L(3/2, chi2). The
-direct route sums non-residues up to N literally and completes the tail
-smoothly: 2 sum_{n>N, nonres} = [R(N) - p^{-3/2} R(N//p)] - R_L(N) with
-R the zeta(3/2) tail (computed) and R_L the character tail (certified).
-Both routes are evaluated independently and compared.
+is evaluated by two independent routes that must agree.
+
+- Closed: C_p = zeta(3/2)(1 - p^{-3/2}) - L(3/2, chi2), with L from the
+  theta-function form of the functional equation (root number 1,
+  delta = [p = 3 mod 4]):
+
+      L(3/2) = sum chi2(n) n^{-3/2} Q(a1, pi n^2/p)
+             + (pi/p) / Gamma(a1) * sum chi2(n) n^{1/2} Gamma(a2, pi n^2/p),
+
+  a1 = (3/2 + delta)/2, a2 = (delta - 1/2)/2, Q the regularized upper
+  incomplete gamma. Terms decay like exp(-pi n^2/p), so about 3 sqrt(p)
+  of them reach machine precision. The tail certificate comes from
+  Gamma(a, x) <= x^{a-1} e^{-x} (1 + max(a-1, 0)/x) for a <= 2: the
+  bounds on the terms fall at least geometrically, and tests assert the
+  certificate, not just the value.
+- Direct: group the non-residues by class mod p,
+  C_p = 2 p^{-3/2} sum_{a nonres mod p} zeta(3/2, a/p), a finite sum of
+  (p-1)/2 positive Hurwitz zeta values with no truncation.
 
 Writing n = k^2 m with m square-free (p never divides a non-residue, so
 p | k is excluded) gives
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import arith
 from .characters import PrimeContext, quadratic
@@ -71,7 +81,9 @@ __all__ = [
 ]
 
 _ETA_TERMS = 64
-_CHUNK = 1 << 23
+# Default truncation tolerance for L(3/2, chi2): the tail is then below the
+# rounding of the sum, and the cost grows only like sqrt(log(1/tol)).
+_L_TOL = 1e-15
 
 
 @lru_cache(maxsize=256)
@@ -100,44 +112,50 @@ class SeriesValue:
     terms: int
 
 
-def _pv_bound(p: int) -> float:
-    return math.sqrt(p) * math.log(p)
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for a > -1; a <= 0 by one step of the recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a."""
+    if a > 0:
+        return special.gammaincc(a, x) * special.gamma(a)
+    return (_upper_gamma(a + 1.0, x) - x**a * np.exp(-x)) / a
 
 
-def _char_power_sum(ctx: PrimeContext, n_max: int) -> float:
-    """sum_{n<=n_max} chi2(n) n^{-3/2}, chunked."""
-    signs = ctx.qr_signs().astype(np.float64)
-    total = 0.0
-    lo = 1
-    while lo <= n_max:
-        hi = min(n_max, lo + _CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        idx = np.arange(lo, hi + 1, dtype=np.int64) % ctx.p
-        total += float(np.dot(signs[idx], n**-1.5))
-        lo = hi + 1
-    return total
+def _upper_gamma_bound(a: float, x: np.ndarray) -> np.ndarray:
+    """Upper bound on Gamma(a, x) for a <= 2, x > 0."""
+    return x ** (a - 1.0) * np.exp(-x) * (1.0 + max(a - 1.0, 0.0) / x)
 
 
-def _power_sum(n_max: int) -> float:
-    """sum_{n<=n_max} n^{-3/2}, chunked."""
-    total = 0.0
-    lo = 1
-    while lo <= n_max:
-        hi = min(n_max, lo + _CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(np.sum(n**-1.5))
-        lo = hi + 1
-    return total
-
-
-def L_quadratic(ctx: PrimeContext, tol: float = 1e-9) -> SeriesValue:
-    """L(3/2, chi2) truncated where the Abel tail certificate drops
-    below tol."""
-    m = _pv_bound(ctx.p)
-    n0 = max(8, math.ceil((2.0 * m / tol) ** (2.0 / 3.0)))
-    value = _char_power_sum(ctx, n0)
-    cert = 2.0 * m * (n0 + 1) ** -1.5
-    return SeriesValue(value, cert, n0)
+def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
+    """L(3/2, chi2) by the theta-function functional equation, truncated
+    at the first n where the certified tail drops to tol or below."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    p = ctx.p
+    delta = p % 4 == 3
+    a1, a2 = (1.5 + delta) / 2.0, (delta - 0.5) / 2.0
+    g1 = math.gamma(a1)
+    dual = math.pi / p / g1  # (p/pi)^{-1} Gamma(a2)/Gamma(a1) Q(a2, x) = dual Gamma(a2, x)
+    # At n_max, pi n^2/p is log(1/tol) + 40: far past the first n whose tail
+    # bound reaches tol.
+    n_max = math.isqrt(math.ceil(p / math.pi * (math.log(1.0 / tol) + 40.0))) + 2
+    n = np.arange(1, n_max + 2, dtype=np.float64)
+    x = math.pi / p * n * n
+    # term_bound[k] bounds the two terms of n = k+1; it is exp(-x) times a
+    # non-increasing factor, so past n = N+1 consecutive bounds shrink by at
+    # least exp(-pi(2N+3)/p) and the tail after N terms is a geometric series.
+    term_bound = (
+        n**-1.5 * _upper_gamma_bound(a1, x) / g1 + dual * np.sqrt(n) * _upper_gamma_bound(a2, x)
+    )
+    tails = term_bound[1:] / -np.expm1(-math.pi * (2.0 * n[:-1] + 3.0) / p)
+    fits = np.flatnonzero(tails <= tol)
+    if fits.size == 0:
+        raise ArithmeticError(f"L(3/2, chi2) tail bound never reached {tol} at p={p}")
+    terms = int(fits[0]) + 1
+    n, x = n[:terms], x[:terms]
+    chi = ctx.qr_signs()[np.arange(1, terms + 1) % p].astype(np.float64)
+    value = float(np.dot(chi, n**-1.5 * special.gammaincc(a1, x)))
+    value += dual * float(np.dot(chi, np.sqrt(n) * _upper_gamma(a2, x)))
+    return SeriesValue(value, float(tails[terms - 1]), terms)
 
 
 @dataclass(frozen=True)
@@ -156,51 +174,29 @@ class CpReport:
         return self.closed
 
 
-def _cp_direct(ctx: PrimeContext, tol: float) -> tuple[float, float, int]:
+def _cp_direct(ctx: PrimeContext) -> tuple[float, int]:
+    """2 p^{-3/2} sum over non-residue classes a of zeta(3/2, a/p); every
+    term is positive and nothing is truncated."""
     p = ctx.p
-    m = _pv_bound(p)
-    n0 = max(8, math.ceil((2.0 * m / tol) ** (2.0 / 3.0)))
-    signs = ctx.qr_signs()
-    z32 = zeta(1.5)
-    head = 0.0
-    lo = 1
-    while lo <= n0:
-        hi = min(n0, lo + _CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        nonres = signs[np.arange(lo, hi + 1, dtype=np.int64) % p] < 0
-        head += float(np.sum(n[nonres] ** -1.5))
-        lo = hi + 1
-    tail_smooth = (z32 - _power_sum(n0)) - p**-1.5 * (z32 - _power_sum(n0 // p))
-    cert = 2.0 * m * (n0 + 1) ** -1.5
-    return 2.0 * head + tail_smooth, cert, n0
+    nonres = np.flatnonzero(ctx.qr_signs() < 0)
+    return 2.0 * p**-1.5 * float(np.sum(special.zeta(1.5, nonres / p))), nonres.size
+
+
+def _cp_closed(ctx: PrimeContext) -> float:
+    return zeta(1.5) * (1.0 - ctx.p**-1.5) - L_quadratic(ctx).value
 
 
 def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
     """Both routes to C_p; raises if they disagree beyond their combined
-    certificates plus tol."""
-    direct, direct_cert, n_direct = _cp_direct(ctx, tol / 2.0)
-    lval = ctx.cache.get("l_quadratic")
-    if lval is None or lval.tail_bound > tol / 8.0:
-        lval = L_quadratic(ctx, tol / 8.0)
-        ctx.cache["l_quadratic"] = lval
+    certificates plus tol. The direct route truncates nothing, so its
+    certificate is 0."""
+    direct, n_direct = _cp_direct(ctx)
+    lval = L_quadratic(ctx, min(tol, _L_TOL))
     closed = zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value
     residual = abs(direct - closed)
-    if residual > tol + direct_cert + lval.tail_bound:
+    if residual > tol + lval.tail_bound:
         raise ArithmeticError(f"C_p routes disagree by {residual} at p={ctx.p}")
-    return CpReport(
-        ctx.p, direct, closed, residual, direct_cert, lval.tail_bound, n_direct, lval.terms
-    )
-
-
-def _cp_closed_cached(ctx: PrimeContext, tol: float = 1e-9) -> float:
-    cached = ctx.cache.get("cp_closed")
-    if cached is not None:
-        return cached
-    lval = L_quadratic(ctx, tol)
-    ctx.cache["l_quadratic"] = lval
-    value = zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value
-    ctx.cache["cp_closed"] = value
-    return value
+    return CpReport(ctx.p, direct, closed, residual, 0.0, lval.tail_bound, n_direct, lval.terms)
 
 
 CP_LOWER_EXPONENT = 1.0 / (8.0 * math.sqrt(math.e))
@@ -210,7 +206,7 @@ def cp_lower_ratio(ctx: PrimeContext, cp: float | None = None) -> float:
     """C_p / p^{-1/(8 sqrt e)}, the lower-bound margin with implied
     constant 1."""
     if cp is None:
-        cp = _cp_closed_cached(ctx)
+        cp = _cp_closed(ctx)
     return cp * ctx.p**CP_LOWER_EXPONENT
 
 
@@ -223,71 +219,29 @@ class SweepResult:
     below_one: tuple[tuple[int, float], ...]  # every (p, ratio) with ratio <= 1
 
 
-def cp_ratio_sweep(
-    limit: int,
-    coarse_tol: float = 3e-4,
-    refine_tol: float = 1e-7,
-    refine_count: int = 200,
-    progress=None,
-) -> SweepResult:
-    """cp_lower_ratio over all odd primes <= limit.
-
-    Two phases: a coarse pass with a shared precomputed weight vector, then
-    a refinement of every candidate whose coarse ratio could plausibly be
-    the minimum or sit at 1. The coarse error on the ratio is bounded by
-    coarse_tol * limit^0.076; the refinement window is checked against that
-    margin, so the reported minimum and the below-one list are exact up to
-    refine_tol.
-    """
+def cp_ratio_sweep(limit: int, progress=None) -> SweepResult:
+    """cp_lower_ratio over all odd primes <= limit, each from the closed
+    route at full precision."""
     from .characters import build_context
 
     primes = [int(q) for q in arith.sieve_primes(limit)[1:]]
-    m_top = _pv_bound(limit)
-    n_top = max(8, math.ceil((2.0 * m_top / coarse_tol) ** (2.0 / 3.0)))
-    weights = np.arange(0, n_top + 1, dtype=np.float64)
-    weights[0] = 1.0
-    weights **= -1.5
-    z32 = zeta(1.5)
-    coarse: list[tuple[float, int]] = []
+    ratios = []
     for i, p in enumerate(primes):
-        m = _pv_bound(p)
-        n0 = max(8, math.ceil((2.0 * m / coarse_tol) ** (2.0 / 3.0)))
-        signs = np.zeros(p, dtype=np.float64)
-        k = np.arange(1, p, dtype=np.int64)
-        signs[(k * k) % p] = 2.0
-        signs -= 1.0
-        signs[0] = 0.0
-        idx = np.arange(1, n0 + 1, dtype=np.int64) % p
-        lval = float(np.dot(signs[idx], weights[1 : n0 + 1]))
-        cp = z32 * (1.0 - p**-1.5) - lval
-        coarse.append((cp * p**CP_LOWER_EXPONENT, p))
+        ratios.append(cp_lower_ratio(build_context(p)))
         if progress and (i + 1) % 1024 == 0:
             progress(i + 1, len(primes))
-    coarse.sort()
-    margin = 2.0 * coarse_tol * limit**CP_LOWER_EXPONENT
-    cutoff = min(refine_count, len(coarse)) - 1
-    threshold = max(coarse[cutoff][0], 1.0 + margin)
-    refined: list[tuple[float, int]] = []
-    unrefined_floor = math.inf
-    for ratio, p in coarse:
-        if ratio <= threshold:
-            ctx = build_context(p)
-            refined.append((cp_lower_ratio(ctx, _cp_closed_cached(ctx, refine_tol)), p))
-        else:
-            unrefined_floor = min(unrefined_floor, ratio - margin)
-    refined.sort()
-    if refined[0][0] >= unrefined_floor:
-        raise ArithmeticError("refinement window too small for requested sweep")
-    below = tuple((p, r) for r, p in sorted(refined, key=lambda t: t[1]) if r <= 1.0)
-    min_ratio, argmin_p = refined[0]
-    return SweepResult(limit, len(primes), min_ratio, argmin_p, below)
+    k = int(np.argmin(ratios))
+    below = tuple((p, r) for p, r in zip(primes, ratios) if r <= 1.0)
+    return SweepResult(limit, len(primes), ratios[k], primes[k], below)
 
 
-def shapiro_c(ctx: PrimeContext) -> float:
+def shapiro_c(ctx: PrimeContext, cp: float | None = None) -> float:
     """2(1-1/p) sum over square-free non-residues of n^{-3/2}, via the
     exact collapse to C_p / (zeta(3)(1+1/p+1/p^2))."""
     p = ctx.p
-    return _cp_closed_cached(ctx) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
+    if cp is None:
+        cp = _cp_closed(ctx)
+    return cp / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
 
 
 def li(x: float) -> float:
@@ -363,8 +317,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     if x < 1:
         raise ValueError("need x >= 1")
     p = ctx.p
-    cp = _cp_closed_cached(ctx)
-    leading = cp * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
+    leading = _cp_closed(ctx) * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
     exact = count_squarefull_pr(ctx, x, method="brute").brute_count
     env = (
         x ** (1.0 / 3.0)
@@ -399,11 +352,7 @@ def squarefull_charsum_main_term(
         chi = principal(ctx)
         env = x ** (1.0 / 6.0 + 0.01)
     elif case == "quadratic":
-        lval = ctx.cache.get("l_quadratic")
-        if lval is None:
-            lval = L_quadratic(ctx, 1e-9)
-            ctx.cache["l_quadratic"] = lval
-        leading = lval.value / denom * math.sqrt(x)
+        leading = L_quadratic(ctx).value / denom * math.sqrt(x)
         secondary = 0.0
         chi = quadratic(ctx)
         env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
@@ -501,13 +450,12 @@ class ConstantsReport:
 
 def constants_report(ctx: PrimeContext, tol: float = 1e-8) -> ConstantsReport:
     rep = compute_Cp(ctx, tol)
-    lval = ctx.cache["l_quadratic"]
-    ctx.cache["cp_closed"] = rep.closed
     return ConstantsReport(
         p=ctx.p,
         C_p=rep.closed,
-        shapiro_c=shapiro_c(ctx),
-        L_three_halves_quadratic=lval.value,
+        shapiro_c=shapiro_c(ctx, rep.closed),
+        # the L value compute_Cp subtracted, recovered up to one rounding
+        L_three_halves_quadratic=zeta(1.5) * (1.0 - ctx.p**-1.5) - rep.closed,
         zeta3=zeta(3.0),
         zeta_two_thirds=zeta(2.0 / 3.0),
         cp_lower_ratio=cp_lower_ratio(ctx, rep.closed),

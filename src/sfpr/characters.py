@@ -131,13 +131,14 @@ class PrimeContext:
 
     def qr_signs(self) -> np.ndarray:
         """Legendre-symbol table over residues as int8; built from squares,
-        independent of the discrete log."""
+        independent of the discrete log. The squares of 1..(p-1)/2 are
+        distinct mod p, so no deduplication is needed."""
         if self._qr_signs is None:
             p = self.p
             k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
             signs = np.full(p, -1, dtype=np.int8)
             signs[0] = 0
-            signs[np.unique(k * k % p)] = 1
+            signs[k * k % p] = 1
             self._qr_signs = signs
         return self._qr_signs
 

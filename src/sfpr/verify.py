@@ -113,7 +113,8 @@ def run_constants_suite(progress=None) -> dict:
         if not ok:
             failures += 1
 
-    for p in (3, 5, 7, 11, 101, 1009):
+    primes = (3, 5, 7, 11, 101, 1009)
+    for i, p in enumerate(primes):
         ctx = build_context(p)
         rep = compute_Cp(ctx)
         check(rep.residual < 1e-8, rep.residual)
@@ -124,7 +125,7 @@ def run_constants_suite(progress=None) -> dict:
         check(c <= rep.closed)
         check(cp_lower_ratio(ctx, rep.closed) > 0.0)
         if progress:
-            progress(p, 1009)
+            progress(i + 1, len(primes))
     z2 = abs(zeta(2.0) - math.pi**2 / 6)
     check(z2 < 1e-12, z2)
     z3 = abs(zeta(3.0) - 1.2020569031595943)

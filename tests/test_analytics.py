@@ -7,12 +7,14 @@ series get coarse partial-sum brackets with positive tails. None of these
 share code with the implementations under test.
 """
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import expi
+from scipy.special import zeta as scipy_hurwitz
 
 from sfpr import arith
 from sfpr.analytics import (
@@ -54,6 +56,7 @@ def em_zeta(s, N=30):
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def hurwitz_L(p, s=1.5):
     tot = mp.mpf(0)
     for a in range(1, p):
@@ -99,6 +102,19 @@ def test_L_quadratic_vs_hurwitz(p):
     got = L_quadratic(build_context(p))
     assert got.tail_bound < 1e-9
     assert got.value == pytest.approx(hurwitz_L(p), abs=2e-9)
+
+
+# both classes mod 4; p = 1 mod 4 takes the Gamma(-1/4, x) recurrence
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_L_quadratic_tight_vs_hurwitz(p):
+    assert L_quadratic(build_context(p)).value == pytest.approx(hurwitz_L(p), abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_L_coarse_error_within_certificate(p):
+    got = L_quadratic(build_context(p), tol=1e-5)
+    assert got.tail_bound <= 1e-5
+    assert abs(got.value - hurwitz_L(p)) <= got.tail_bound
 
 
 def test_L_quadratic_frozen_p3():
@@ -152,6 +168,19 @@ def test_cp_vs_hurwitz():
         assert compute_Cp(build_context(p)).closed == pytest.approx(want, abs=5e-9)
 
 
+def test_cp_large_p_vs_hurwitz():
+    p = 1052041
+    rep = compute_Cp(build_context(p))
+    assert rep.residual < 1e-12
+    chi = -np.ones(p)
+    k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    chi[k * k % p] = 1.0
+    a = np.arange(1, p, dtype=np.float64)
+    lval = float(np.dot(chi[1:], scipy_hurwitz(1.5, a / p))) * p**-1.5
+    want = float(scipy_hurwitz(1.5, 1.0)) * (1.0 - p**-1.5) - lval
+    assert rep.closed == pytest.approx(want, abs=1e-13)
+
+
 def test_cp_lower_ratio_formula():
     ctx = build_context(7)
     cp = compute_Cp(ctx).closed
@@ -167,6 +196,17 @@ def test_cp_ratio_sweep_small():
     assert pairs[191] == pytest.approx(0.97097567, abs=1e-6)
     assert len(sw.below_one) == 18
     assert all(r <= 1.0 for _, r in sw.below_one)
+    ps = [p for p, _ in sw.below_one]
+    assert ps == sorted(ps)
+
+
+def test_cp_ratio_sweep_1e5():
+    # the measurement behind the documented criterion-5 failure
+    sw = cp_ratio_sweep(100_000)
+    assert sw.primes_checked == 9591
+    assert sw.argmin_p == 95471
+    assert sw.min_ratio == pytest.approx(0.5258760849, abs=1e-9)
+    assert len(sw.below_one) == 447
     ps = [p for p, _ in sw.below_one]
     assert ps == sorted(ps)
 

@@ -1,11 +1,14 @@
 """CLI surface: exit codes, schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sfpr
 from sfpr.cli import _default_jobs, _parse_grid, main
 
 
@@ -13,6 +16,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m sfpr argv` in a child that imports the same sfpr package
+    as this process, however pytest put it on sys.path."""
+    src = str(Path(sfpr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "sfpr", *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 # -- count -------------------------------------------------------------------
@@ -147,6 +161,12 @@ def test_constants_report(capsys):
     assert rep["cp_identity_residual"] < 1e-8
 
 
+def test_constants_bad_tolerance(capsys):
+    code, _, err = run_cli(capsys, "constants", "--p", "7", "--tolerance", "-1")
+    assert code == 1
+    assert "tolerance must be positive" in err
+
+
 # -- profile -----------------------------------------------------------------
 
 
@@ -211,6 +231,12 @@ def test_verify_constants(capsys):
     assert rep["failures"] == 0
 
 
+def test_verify_constants_progress(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "constants")
+    assert code == 0
+    assert err.splitlines() == [f"verify[constants]: {i}/6" for i in range(1, 7)]
+
+
 # -- plumbing ----------------------------------------------------------------
 
 
@@ -224,17 +250,12 @@ def test_default_jobs_env(monkeypatch):
 
 
 def test_module_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sfpr", "least", "--p", "5"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("least", "--p", "5")
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[1] == "5,8,2,2,1.600000,1"
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sfpr", "count", "--p", "7"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("count", "--p", "7")
     assert proc.returncode == 1  # missing --x
+    assert "--x" in proc.stderr
