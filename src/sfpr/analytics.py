@@ -47,7 +47,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+
+# scipy is imported inside the functions that use it: it takes about 0.5 s
+# to import, and every sfpr command loads this module.
 
 from . import arith
 from .characters import PrimeContext, quadratic
@@ -115,6 +117,8 @@ class SeriesValue:
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) for a > -1; a <= 0 by one step of the recurrence
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a."""
+    from scipy import special
+
     if a > 0:
         return special.gammaincc(a, x) * special.gamma(a)
     return (_upper_gamma(a + 1.0, x) - x**a * np.exp(-x)) / a
@@ -128,6 +132,8 @@ def _upper_gamma_bound(a: float, x: np.ndarray) -> np.ndarray:
 def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
     """L(3/2, chi2) by the theta-function functional equation, truncated
     at the first n where the certified tail drops to tol or below."""
+    from scipy import special
+
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     p = ctx.p
@@ -177,6 +183,8 @@ class CpReport:
 def _cp_direct(ctx: PrimeContext) -> tuple[float, int]:
     """2 p^{-3/2} sum over non-residue classes a of zeta(3/2, a/p); every
     term is positive and nothing is truncated."""
+    from scipy import special
+
     p = ctx.p
     nonres = np.flatnonzero(ctx.qr_signs() < 0)
     return 2.0 * p**-1.5 * float(np.sum(special.zeta(1.5, nonres / p))), nonres.size
@@ -251,6 +259,8 @@ def li(x: float) -> float:
         raise ValueError("need x >= 2")
     if x == 2:
         return 0.0
+    from scipy import integrate
+
     total = 0.0
     err_total = 0.0
     lo = 2.0

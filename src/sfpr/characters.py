@@ -8,12 +8,19 @@ quadratic one (it coincides with the Legendre symbol).
 Discrete logs come from a full lookup table for p up to the table threshold
 (default 2^20) and from baby-step giant-step above it. Both backends are built
 lazily; a context stays lightweight until something asks for an index.
+
+Per-character tables (values over all p residues and their prefix sums) are
+held in a least-recently-used cache of CHI_CACHE_SIZE entries per context, so
+they take at most CHI_CACHE_SIZE * 16 p bytes however many characters are
+visited. A factored character sum uses at most three of them at a time (chi^2
+values and prefix, chi^3 values), so one sum never evicts its own tables.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +34,11 @@ __all__ = [
     "char_eval",
     "characters_of_order",
     "TABLE_THRESHOLD",
+    "CHI_CACHE_SIZE",
 ]
 
 TABLE_THRESHOLD = 1 << 20
+CHI_CACHE_SIZE = 4
 
 
 @dataclass(eq=False)
@@ -48,7 +57,7 @@ class PrimeContext:
     _giant_mul: int = field(default=0, repr=False)
     _baby_span: int = field(default=0, repr=False)
     _roots: np.ndarray | None = field(default=None, repr=False)
-    _chi_vals: dict = field(default_factory=dict, repr=False)
+    _chi_tables: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _qr_signs: np.ndarray | None = field(default=None, repr=False)
     _is_pr: np.ndarray | None = field(default=None, repr=False)
 
@@ -68,21 +77,23 @@ class PrimeContext:
         if r == 0:
             raise ValueError("index undefined for multiples of p")
         if self.has_index_table:
-            table = self._index_table
-            if table is None:
-                table = self._build_index_table()
-            return int(table[r])
+            return int(self.index_table()[r])
         return self._index_bsgs(r)
 
-    def _build_index_table(self) -> np.ndarray:
-        p, g = self.p, self.generator
-        table = np.zeros(p, dtype=np.int64)
-        v = 1
-        for k in range(p - 1):
-            table[v] = k
-            v = v * g % p
-        self._index_table = table
-        return table
+    def index_table(self) -> np.ndarray:
+        """ind[r] = index(r) for residues r in [1, p-1], ind[0] = 0; table
+        backend only."""
+        if not self.has_index_table:
+            raise ValueError("index table requires the full-index backend")
+        if self._index_table is None:
+            p, g = self.p, self.generator
+            table = np.zeros(p, dtype=np.int64)
+            v = 1
+            for k in range(p - 1):
+                table[v] = k
+                v = v * g % p
+            self._index_table = table
+        return self._index_table
 
     def _index_bsgs(self, r: int) -> int:
         p, g = self.p, self.generator
@@ -114,20 +125,36 @@ class PrimeContext:
             self._roots = np.exp(2j * np.pi * np.arange(n) / n)
         return self._roots
 
+    def _chi_table(self, key: tuple, build) -> np.ndarray:
+        tables = self._chi_tables
+        table = tables.get(key)
+        if table is None:
+            table = build()
+            tables[key] = table
+            if len(tables) > CHI_CACHE_SIZE:
+                tables.popitem(last=False)
+        else:
+            tables.move_to_end(key)
+        return table
+
     def chi_values(self, j: int) -> np.ndarray:
         """Value table chi_j(r) for residues r in [0, p-1]; table backend only."""
         if not self.has_index_table:
             raise ValueError("value table requires the full-index backend")
         j %= self.p - 1
-        vals = self._chi_vals.get(j)
-        if vals is None:
-            idx = self._index_table
-            if idx is None:
-                idx = self._build_index_table()
+
+        def build():
             vals = np.zeros(self.p, dtype=np.complex128)
-            vals[1:] = self.roots_of_unity()[(j * idx[1:]) % (self.p - 1)]
-            self._chi_vals[j] = vals
-        return vals
+            vals[1:] = self.roots_of_unity()[(j * self.index_table()[1:]) % (self.p - 1)]
+            return vals
+
+        return self._chi_table(("values", j), build)
+
+    def chi_prefix(self, j: int) -> np.ndarray:
+        """C[r] = sum_{m <= r} chi_j(m) over one period, r in [0, p-1]; table
+        backend only."""
+        j %= self.p - 1
+        return self._chi_table(("prefix", j), lambda: np.cumsum(self.chi_values(j)))
 
     def qr_signs(self) -> np.ndarray:
         """Legendre-symbol table over residues as int8; built from squares,
@@ -145,9 +172,7 @@ class PrimeContext:
     def is_pr_table(self) -> np.ndarray:
         """Boolean table over residues: is a primitive root; table backend only."""
         if self._is_pr is None:
-            idx = self._index_table
-            if idx is None:
-                idx = self._build_index_table()
+            idx = self.index_table()
             n = self.p - 1
             coprime = np.ones(n, dtype=bool)
             for q in self.p1_primes:

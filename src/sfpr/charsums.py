@@ -12,9 +12,10 @@ set and adds character values. "factored" rewrites the sum exactly:
 Route equality is an exact identity, so the pair doubles as a correctness
 check; tests and the verify suite exercise it on randomized inputs.
 
-Interval prefix sums are built once per character over a single period and
-answered in O(1) by periodicity. Contexts above the discrete-log table
-threshold fall back to per-term evaluation.
+Interval prefix sums are built per character over a single period, held in
+the context's bounded table cache, and answered in O(1) by periodicity.
+Contexts above the discrete-log table threshold fall back to per-term
+evaluation.
 """
 
 from __future__ import annotations
@@ -54,23 +55,12 @@ def _primes_cached(limit: int) -> np.ndarray:
     return arith.sieve_primes(limit)
 
 
-def _period_prefix(chi: Character) -> np.ndarray:
-    """C[r] = sum_{m<=r} chi(m) over one period, r in [0, p-1]."""
-    ctx = chi.ctx
-    key = ("chiprefix", chi.j % (ctx.p - 1))
-    pre = ctx.cache.get(key)
-    if pre is None:
-        pre = np.cumsum(ctx.chi_values(chi.j))
-        ctx.cache[key] = pre
-    return pre
-
-
 def _interval_value(chi: Character, x: int) -> complex:
     ctx = chi.ctx
     if x <= 0:
         return 0j
     if ctx.has_index_table:
-        pre = _period_prefix(chi)
+        pre = ctx.chi_prefix(chi.j)
         q, r = divmod(x, ctx.p)
         return complex(q * pre[ctx.p - 1] + pre[r])
     return sum(char_eval(chi, m) for m in range(1, x + 1))

@@ -5,7 +5,8 @@ CSV goes to tabular scans, JSON to single-query reports. Progress lines go
 to stderr only; stdout stays pipeline-clean and byte-deterministic for a
 fixed invocation regardless of worker count.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
+Exit codes: 0 success, 1 usage or domain error or out of memory, 2
+verification failure.
 """
 
 from __future__ import annotations
@@ -224,6 +225,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"{PROG}: verification failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"{PROG}: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,14 +2,30 @@
 
 The exact decomposition over character order classes,
 
-    N(x) = (phi(p-1)/(p-1)) * sum_{d | p-1} (mu(d)/phi(d))
-                             * sum_{chi of order d} S_chi(x),
+    N(x) = (phi(n)/n) * sum_{d | n} (mu(d)/phi(d)) * sum_{chi of order d} S_chi(x),
 
-with S_chi the character sum over the target set, turns each count into a
-finite character-sum evaluation. The d = 1 term is the density main term, the
-d = 2 term enters with a minus sign, and only square-free d survive. Both the
-charsum route and a brute route are kept so every count is an executable
-identity.
+n = p-1 and S_chi the character sum over the target family, turns each count
+into a finite character-sum evaluation. Only square-free d survive, so the
+identity is a weight vector over the characters chi_j: w[j] = mu(d)/phi(d)
+where the order d of chi_j is square-free and 0 elsewhere (pr_decomposition),
+with rad(n) nonzero entries, and N(x) = (phi(n)/n) * (w . S).
+
+All the S_chi come from one transform (family_charsums): h[r], the number of
+the family's members up to x congruent to r mod p, is moved onto discrete
+logs, and the length-n DFT of that histogram is S_{chi_j}(x) for every j at
+once. The square-free and square-full histograms come from periodicity mod p
+without visiting the members (O(sqrt(x p)) and O(sqrt(x)) entries); the q^2 r^3
+family, O(sqrt(x)) members, is enumerated. Memory is O(p) beyond the sieve
+tables of sqrt(x) and x^(1/3) entries, and the transform is O(p log p).
+
+Two independent routes keep every count an executable identity. The brute
+route enumerates the members and looks each one up in the primitive-root
+table. The FFT spectrum is
+checked against the factored sums of charsums on a fixed sample of
+characters: the principal one, the quadratic one and CHECK_SAMPLE more drawn
+by a random.Random seeded from (p, x, target), or every character when
+p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of CHECK_RTOL or more raises
+ArithmeticError.
 
 Scans over prime ranges shard into contiguous blocks of 4096 primes; workers
 pull blocks, the parent flushes results in block order, so output is
@@ -20,15 +36,16 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import random
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import arith, squarefull
-from .characters import Character, PrimeContext, build_context, characters_of_order
+from .characters import Character, PrimeContext, build_context
 from .charsums import (
-    SumResult,
     sum_char_prime_powerful,
     sum_char_squarefree,
     sum_char_squarefull,
@@ -38,7 +55,9 @@ __all__ = [
     "CountReport",
     "ScanRecord",
     "HypothesisReport",
+    "pr_decomposition",
     "pr_indicator_charsum",
+    "family_charsums",
     "count_squarefull_pr",
     "count_prime_powerful_pr",
     "count_squarefree_pr",
@@ -51,24 +70,26 @@ __all__ = [
 
 BLOCK_SIZE = 4096
 SEARCH_CEILING = 1 << 32
+CHECK_SAMPLE = 8
+CHECK_RTOL = 1e-9
+_MAX_HISTOGRAM_P = math.isqrt((1 << 63) - 1)  # residue products stay below 2^63
 
 
-def pr_decomposition(ctx: PrimeContext) -> list[tuple[float, Character]]:
-    """Flattened (mu(d)/phi(d), chi) pairs over square-free d | p-1, in a
-    fixed deterministic order."""
-    cached = ctx.cache.get("pr_decomposition")
-    if cached is not None:
-        return cached
-    pairs = []
-    for d in arith.divisors(ctx.p - 1):
-        mu = arith.mobius(d)
-        if mu == 0:
-            continue
-        coef = mu / arith.euler_phi(d)
-        for chi in characters_of_order(ctx, d):
-            pairs.append((coef, chi))
-    ctx.cache["pr_decomposition"] = pairs
-    return pairs
+def pr_decomposition(ctx: PrimeContext) -> np.ndarray:
+    """Weights w[j], j in [0, p-2], of the primitive-root indicator
+    (phi(n)/n) sum_j w[j] chi_j(m): mu(d)/phi(d) for chi_j of square-free
+    order d, 0 otherwise."""
+    w = ctx.cache.get("pr_decomposition")
+    if w is None:
+        n = ctx.p - 1
+        by_gcd = np.zeros(n + 1)  # chi_j has order n / gcd(j, n)
+        for d in arith.divisors(n):
+            mu = arith.mobius(d)
+            if mu:
+                by_gcd[n // d] = mu / arith.euler_phi(d)
+        w = by_gcd[np.gcd(np.arange(n, dtype=np.int64), n)]
+        ctx.cache["pr_decomposition"] = w
+    return w
 
 
 def pr_indicator_charsum(ctx: PrimeContext, m: int) -> float:
@@ -76,11 +97,11 @@ def pr_indicator_charsum(ctx: PrimeContext, m: int) -> float:
     up to float error."""
     if m % ctx.p == 0:
         return 0.0
-    total = 0j
-    for coef, chi in pr_decomposition(ctx):
-        total += coef * chi(m)
-    value = total * arith.euler_phi(ctx.p - 1) / (ctx.p - 1)
-    return value.real
+    n = ctx.p - 1
+    w = pr_decomposition(ctx)
+    js = np.flatnonzero(w)
+    total = np.dot(w[js], ctx.roots_of_unity()[js * ctx.index(m) % n])
+    return float(total.real) * arith.euler_phi(n) / n
 
 
 @dataclass(frozen=True)
@@ -97,60 +118,177 @@ class CountReport:
     elapsed_charsum: float | None
 
 
-def _charsum_count(ctx: PrimeContext, x: int, family_sum) -> tuple[float, int]:
-    pairs = pr_decomposition(ctx)
-    total = 0j
-    for coef, chi in pairs:
-        total += coef * family_sum(ctx, chi, x).value
-    total *= arith.euler_phi(ctx.p - 1) / (ctx.p - 1)
-    if abs(total.imag) > 1e-6 * max(1, len(pairs)):
-        raise ArithmeticError(f"imaginary drift {total.imag} in charsum count")
-    return total.real, len(pairs)
+# -- families: members up to x, reduced mod p ---------------------------------
+#
+# Each family has two views. The brute route walks its members' residues, in
+# chunks. The charsum route needs only h[r], the number of members congruent
+# to r mod p, which the square-free and square-full families give by
+# periodicity in O(p) memory without visiting their members.
+
+_RUN_CHUNK = 1 << 20  # entries per vectorised batch of residue runs
+_D_RANGE = 1 << 16  # square-free d processed per batch
 
 
-def _brute_squarefull(ctx: PrimeContext, x: int) -> int:
-    p = ctx.p
-    if ctx.has_index_table:
-        table = ctx.is_pr_table()
-        bmax = arith.icbrt(x)
-        sf = squarefull.squarefree_table(bmax)
-        total = 0
-        for b in range(1, bmax + 1):
-            if not sf[b]:
-                continue
-            cube = b * b * b
-            amax = math.isqrt(x // cube)
-            a = np.arange(1, amax + 1, dtype=np.int64)
-            res = (a * a % p) * (cube % p) % p
-            total += int(np.count_nonzero(table[res]))
-        return total
-    return sum(1 for m in squarefull.enumerate_squarefull(x) if arith.is_primitive_root(m, ctx))
+def _squarefull_residues(p: int, x: int) -> Iterator[np.ndarray]:
+    """m = a^2 b^3 with b square-free, one chunk per b."""
+    sf = squarefull.squarefree_table(arith.icbrt(x))
+    for b in np.flatnonzero(sf):
+        cube = int(b) ** 3
+        a = np.arange(1, math.isqrt(x // cube) + 1, dtype=np.int64)
+        yield (a * a % p) * (cube % p) % p
 
 
-def _brute_prime_powerful(ctx: PrimeContext, x: int) -> int:
-    vals = squarefull.enumerate_prime_powerful(x)
-    if ctx.has_index_table:
-        table = ctx.is_pr_table()
-        if not vals:
-            return 0
-        res = np.array(vals, dtype=np.int64) % ctx.p
-        return int(np.count_nonzero(table[res]))
-    return sum(1 for m in vals if arith.is_primitive_root(m, ctx))
+def _prime_powerful_residues(p: int, x: int) -> Iterator[np.ndarray]:
+    yield np.array(squarefull.enumerate_prime_powerful(x), dtype=np.int64) % p
 
 
-def _brute_squarefree(ctx: PrimeContext, x: int) -> int:
-    members = np.flatnonzero(squarefull.squarefree_table(x))
-    if ctx.has_index_table:
-        table = ctx.is_pr_table()
-        return int(np.count_nonzero(table[members % ctx.p]))
-    return sum(1 for m in members if arith.is_primitive_root(int(m), ctx))
+def _squarefree_residues(p: int, x: int) -> Iterator[np.ndarray]:
+    yield np.flatnonzero(squarefull.squarefree_table(x)) % p
 
 
+def _add_runs(h: np.ndarray, power: int, steps, counts, weights) -> None:
+    """h[k^power * step mod p] += weight for k in [1, count], for each
+    (step, count, weight); every count < p, so k^power * step < p^2."""
+    p = len(h)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _RUN_CHUNK, "right")))
+        c = counts[lo:hi]
+        k = np.arange(1, int(c.sum()) + 1, dtype=np.int64) - np.repeat(np.cumsum(c) - c, c)
+        res = k**power % p * np.repeat(steps[lo:hi], c) % p
+        h += np.bincount(res, weights=np.repeat(weights[lo:hi], c), minlength=p).astype(np.int64)
+        lo = hi
+
+
+def _squarefree_histogram(p: int, x: int) -> np.ndarray:
+    """mu^2(m) = sum_{d^2 | m} mu(d): each d <= sqrt(x) puts mu(d) on the
+    X = x // d^2 multiples k d^2, which cover every class X // p times plus
+    the classes k d^2 mod p for k <= X % p. O(sqrt(x p)) entries in all."""
+    h = np.zeros(p, dtype=np.int64)
+    mu = arith.mobius_table(math.isqrt(x))
+    full = 0
+    for lo in range(1, len(mu), _D_RANGE):
+        d = np.flatnonzero(mu[lo : lo + _D_RANGE]) + lo
+        w = mu[d].astype(np.int64)
+        big_x = x // (d * d)
+        at_p = d % p == 0  # k d^2 = 0 mod p for every k
+        h[0] += int(np.dot(w[at_p], big_x[at_p]))
+        d, w, big_x = d[~at_p], w[~at_p], big_x[~at_p]
+        full += int(np.dot(w, big_x // p))
+        _add_runs(h, 1, d * d % p, big_x % p, w)
+    h += full
+    return h
+
+
+def _squarefull_histogram(p: int, x: int) -> np.ndarray:
+    """m = a^2 b^3, b square-free: for each b the a^2 b^3 mod p, a <= A =
+    isqrt(x // b^3), repeat with period p in a. A full period puts 1 on 0 and
+    2 on each r with (r|p) = (b|p); the last A % p values of a are added as
+    a run. O(x^(1/3) + sqrt(x)) entries in all."""
+    h = np.zeros(p, dtype=np.int64)
+    b = np.flatnonzero(squarefull.squarefree_table(arith.icbrt(x)))
+    big_a = np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
+    at_p = b % p == 0
+    h[0] += int(big_a[at_p].sum())
+    b, big_a = b[~at_p], big_a[~at_p]
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+    periods = big_a // p
+    b_square = squares[b % p]
+    h[0] += int(periods.sum())
+    h[1:] += np.where(squares[1:], 2 * periods[b_square].sum(), 2 * periods[~b_square].sum())
+    cube = b % p * (b % p) % p * (b % p) % p
+    _add_runs(h, 2, cube, big_a % p, np.ones(len(b), dtype=np.int64))
+    return h
+
+
+def _prime_powerful_histogram(p: int, x: int) -> np.ndarray:
+    (residues,) = _prime_powerful_residues(p, x)
+    return np.bincount(residues, minlength=p)
+
+
+# target -> (member residues, residue histogram, factored character sum); plain
+# tuples, because perfbench's tracer swaps wrapped functions into module-level
+# tuples by rebuilding them as tuples
 _FAMILIES = {
-    "squarefull": (_brute_squarefull, sum_char_squarefull),
-    "S": (_brute_prime_powerful, sum_char_prime_powerful),
-    "squarefree": (_brute_squarefree, sum_char_squarefree),
+    "squarefull": (_squarefull_residues, _squarefull_histogram, sum_char_squarefull),
+    "S": (_prime_powerful_residues, _prime_powerful_histogram, sum_char_prime_powerful),
+    "squarefree": (_squarefree_residues, _squarefree_histogram, sum_char_squarefree),
 }
+
+
+def _family(target: str) -> tuple:
+    try:
+        return _FAMILIES[target]
+    except KeyError:
+        raise ValueError(f"unknown target {target!r}") from None
+
+
+def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
+    """S[j] = sum of chi_j(m) over the family's members m <= x, for every
+    j in [0, p-2]: the DFT of the histogram of their discrete logs."""
+    if x < 1:
+        raise ValueError("need x >= 1")
+    p, n = ctx.p, ctx.p - 1
+    if p > _MAX_HISTOGRAM_P:
+        raise ValueError(f"charsum route needs p <= {_MAX_HISTOGRAM_P}")
+    h = _family(target)[1](p, x)
+    if ctx.has_index_table:
+        hist = np.zeros(n)
+        hist[ctx.index_table()[1:]] = h[1:]
+    else:
+        rs = np.flatnonzero(h[1:]) + 1
+        logs = np.array([ctx.index(int(r)) for r in rs], dtype=np.int64)
+        hist = np.bincount(logs, weights=h[rs], minlength=n)
+    # unnormalised inverse transform: S[j] = sum_k hist[k] e^{2 pi i jk/n}
+    return np.fft.ifft(hist, norm="forward")
+
+
+def _checked_characters(p: int, x: int, target: str) -> list[int]:
+    n = p - 1
+    if n <= CHECK_SAMPLE + 2:
+        return list(range(n))
+    rng = random.Random(f"{p}:{x}:{target}")
+    extra = [j for j in rng.sample(range(1, n), CHECK_SAMPLE + 1) if j != n // 2]
+    return [0, n // 2, *extra[:CHECK_SAMPLE]]
+
+
+def _check_factored(ctx: PrimeContext, x: int, target: str, sums: np.ndarray) -> None:
+    sum_fn = _family(target)[2]
+    for j in _checked_characters(ctx.p, x, target):
+        want = sum_fn(ctx, Character(ctx, j), x, route="factored").value
+        rel = abs(sums[j] - want) / max(1.0, abs(want))
+        if not rel < CHECK_RTOL:
+            raise ArithmeticError(
+                f"{target} sum of chi_{j} mod {ctx.p} to x={x}: "
+                f"FFT {sums[j]} vs factored {want} (relative {rel:.3e})"
+            )
+
+
+def _charsum_count(ctx: PrimeContext, x: int, target: str) -> tuple[float, int]:
+    sums = family_charsums(ctx, x, target)
+    _check_factored(ctx, x, target, sums)
+    w = pr_decomposition(ctx)
+    chars = int(np.count_nonzero(w))
+    n = ctx.p - 1
+    total = np.dot(w, sums) * arith.euler_phi(n) / n
+    if abs(total.imag) > 1e-6 * max(1, chars):
+        raise ArithmeticError(f"imaginary drift {total.imag} in charsum count")
+    return float(total.real), chars
+
+
+def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
+    total = 0
+    for residues in _family(target)[0](ctx.p, x):
+        if ctx.has_index_table:
+            total += int(np.count_nonzero(ctx.is_pr_table()[residues]))
+        else:
+            distinct, mult = np.unique(residues, return_counts=True)
+            total += sum(
+                int(c) for r, c in zip(distinct, mult) if arith.is_primitive_root(int(r), ctx)
+            )
+    return total
 
 
 def _count(ctx: PrimeContext, x: int, target: str, method: str) -> CountReport:
@@ -158,20 +296,16 @@ def _count(ctx: PrimeContext, x: int, target: str, method: str) -> CountReport:
         raise ValueError("need x >= 1")
     if method not in ("brute", "charsum", "both"):
         raise ValueError(f"unknown method {method!r}")
-    try:
-        brute_fn, sum_fn = _FAMILIES[target]
-    except KeyError:
-        raise ValueError(f"unknown target {target!r}") from None
     brute = charsum = residual = None
     tb = tc = None
     chars = 0
     if method in ("brute", "both"):
         t0 = time.perf_counter()
-        brute = brute_fn(ctx, x)
+        brute = _brute_count(ctx, x, target)
         tb = time.perf_counter() - t0
     if method in ("charsum", "both"):
         t0 = time.perf_counter()
-        charsum, chars = _charsum_count(ctx, x, sum_fn)
+        charsum, chars = _charsum_count(ctx, x, target)
         tc = time.perf_counter() - t0
     if brute is not None and charsum is not None:
         residual = abs(charsum - brute)

@@ -124,6 +124,17 @@ class TestCharacterValues:
                     char_eval(Character(full, j), m)
                 )
 
+    def test_table_cache_bounded(self):
+        ctx = build_context(101)
+        g = ctx.generator
+        for j in range(100):
+            vals = ctx.chi_values(j)
+            assert vals[g] == pytest.approx(cmath.exp(2j * cmath.pi * j / 100))
+            assert np.allclose(ctx.chi_prefix(j), np.cumsum(vals))
+            assert len(ctx._chi_tables) <= characters.CHI_CACHE_SIZE
+        # the most recently used tables survive: same objects, not rebuilt
+        assert ctx.chi_values(99) is ctx.chi_values(99)
+
 
 class TestOrderClasses:
     def test_frozen_examples_p7(self):

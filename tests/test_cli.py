@@ -1,6 +1,7 @@
 """CLI surface: exit codes, schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sfpr
+from sfpr import arith
 from sfpr.cli import _default_jobs, _parse_grid, main
 
 
@@ -21,12 +23,55 @@ def run_cli(capsys, *argv):
 def run_module(*argv):
     """`python -m sfpr argv` in a child that imports the same sfpr package
     as this process, however pytest put it on sys.path."""
-    src = str(Path(sfpr.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "sfpr", *argv],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
+
+
+def _child_env():
+    src = str(Path(sfpr.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+# A child's ru_maxrss starts from the high-water RSS of the process that
+# spawned it, so the command is spawned from this small launcher rather than
+# from pytest; the launcher reaps it with os.wait4, whose rusage is that one
+# child's (RUSAGE_CHILDREN would be the maximum over every child reaped).
+_LAUNCHER = """
+import json, os, subprocess, sys, time
+report, timeout, argv = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
+t0 = time.monotonic()
+proc = subprocess.Popen([sys.executable, "-m", "sfpr", *argv])
+while True:
+    pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+    wall = time.monotonic() - t0
+    if pid or wall > timeout:
+        break
+    time.sleep(0.02)
+if not pid:
+    proc.kill()
+    _, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+with open(report, "w") as fh:
+    json.dump({"code": proc.returncode, "wall": wall, "rss_mb": usage.ru_maxrss / 1024,
+               "finished": bool(pid)}, fh)
+"""
+
+
+def run_measured(tmp_path, argv, timeout):
+    """`python -m sfpr argv` with its wall time and its own peak RSS:
+    (exit code, stdout, stderr, wall seconds, peak RSS in MB). A command
+    still running after `timeout` seconds is killed and fails the test."""
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(report), str(timeout), *argv],
+        capture_output=True, text=True, timeout=timeout + 60, env=_child_env(),
+    )
+    rep = json.loads(report.read_text())
+    if not rep["finished"]:
+        pytest.fail(f"sfpr {' '.join(argv)} still running after {timeout} s")
+    return rep["code"], proc.stdout, proc.stderr, rep["wall"], rep["rss_mb"]
 
 
 # -- count -------------------------------------------------------------------
@@ -62,6 +107,68 @@ def test_count_tolerance_exceeded(capsys):
     assert code == 2
     assert json.loads(out)["brute_count"] == 1
     assert "tolerance" in err
+
+
+# Moduli with 100 002, 58 254 and 263 010 characters of square-free order,
+# the last above the index-table threshold (baby-step giant-step logs): the
+# charsum count must not grow with the number of characters.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "100003", "--x", "100000"),
+        ("--p", "1048573", "--x", "1000000"),
+        ("--p", "1052041", "--x", "100", "--method", "charsum"),
+    ],
+)
+def test_count_large_modulus_budget(tmp_path, argv):
+    code, out, err, wall, rss_mb = run_measured(tmp_path, ["count", *argv], timeout=60)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["characters_used"] == math.prod(arith.factorize(rep["p"] - 1).primes)
+    if rep["residual"] is not None:
+        assert rep["residual"] <= 1e-6 * rep["characters_used"]
+    else:
+        assert rep["charsum_value"] == pytest.approx(0.0, abs=1e-6)  # no square-full PR <= 100
+    assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
+# Large x, small p: the charsum route reads the family's residue histogram,
+# built by periodicity, so neither time nor memory grows with the members.
+@pytest.mark.parametrize(
+    "target,x", [("squarefree", "1000000000"), ("squarefull", "1000000000000")]
+)
+def test_count_large_x_charsum_budget(tmp_path, target, x):
+    argv = ["count", "--p", "101", "--x", x, "--target", target, "--method", "charsum"]
+    code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=60)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["characters_used"] == 10
+    assert rep["charsum_value"] == pytest.approx(round(rep["charsum_value"]), abs=1e-6)
+    assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
+def test_count_out_of_memory_is_clean():
+    # the square-free table of x = 1e13 needs 9 TiB, of x = 2e9 2 GB; under a
+    # 1 GB address-space cap both fail to allocate, whatever the machine has
+    # numpy and sfpr are imported before the cap, with one BLAS thread, so
+    # that only the command's own allocation meets it
+    code = (
+        "import resource, sys\n"
+        "from sfpr.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for x in ("10000000000000", "2000000000"):
+        argv = ["count", "--p", "101", "--x", x, "--target", "squarefree", "--method", "brute"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("sfpr: error: out of memory")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_count_charsum_only(capsys):
@@ -253,6 +360,14 @@ def test_module_entrypoint():
     proc = run_module("least", "--p", "5")
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[1] == "5,8,2,2,1.600000,1"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sfpr.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code():

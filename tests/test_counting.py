@@ -5,13 +5,16 @@ here from scratch: no character machinery, no primitive-root helpers from the
 package, just repeated multiplication.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfpr import arith
-from sfpr.characters import build_context
+from sfpr import arith, counting
+from sfpr.characters import Character, build_context, characters_of_order
+from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
     CSV_HEADER,
     HypothesisReport,
@@ -19,9 +22,11 @@ from sfpr.counting import (
     count_prime_powerful_pr,
     count_squarefree_pr,
     count_squarefull_pr,
+    family_charsums,
     hypothesis_scan,
     least_squarefree_pr,
     least_squarefull_pr,
+    pr_decomposition,
     pr_indicator_charsum,
     scan_range,
     scan_record,
@@ -64,6 +69,20 @@ def oracle_is_squarefree(n):
     return True
 
 
+def oracle_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_members(target, x):
+    if target == "squarefull":
+        return [m for m in range(1, x + 1) if oracle_is_squarefull(m)]
+    if target == "squarefree":
+        return [m for m in range(1, x + 1) if oracle_is_squarefree(m)]
+    primes = [q for q in range(2, x + 1) if q * q <= x and oracle_is_prime(q)]
+    return sorted(q * q * r**3 for q in primes for r in primes if q * q * r**3 <= x)
+
+
 def oracle_least_squarefull_pr(p):
     m = 1
     while True:
@@ -96,6 +115,19 @@ def test_indicator_matches_order_test(p, m):
     ctx = build_context(p)
     want = 1.0 if m % p and oracle_order(m, p) == p - 1 else 0.0
     assert pr_indicator_charsum(ctx, m) == pytest.approx(want, abs=1e-9)
+
+
+def test_pr_decomposition_weights_by_order():
+    for p in (3, 7, 13, 31, 101, 211):
+        ctx = build_context(p)
+        n = p - 1
+        want = np.zeros(n)
+        for d in arith.divisors(n):
+            for chi in characters_of_order(ctx, d):
+                want[chi.j] = arith.mobius(d) / arith.euler_phi(d)
+        w = pr_decomposition(ctx)
+        assert np.array_equal(w, want)
+        assert np.count_nonzero(w) == np.prod(ctx.p1_primes)
 
 
 # -- counts -----------------------------------------------------------------
@@ -145,6 +177,71 @@ def test_residual_small_on_grid(p, target):
     assert r.residual is not None
     assert r.residual < 1e-6 * r.characters_used
     assert r.charsum_value == pytest.approx(r.brute_count, abs=1e-6 * r.characters_used)
+
+
+_FACTORED = {"squarefull": sum_char_squarefull, "S": sum_char_prime_powerful, "squarefree": sum_char_squarefree}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+@pytest.mark.parametrize("x", [100, 10**4])
+@pytest.mark.parametrize("target", ["squarefull", "S", "squarefree"])
+def test_family_charsums_full_spectrum(p, x, target):
+    ctx = build_context(p)
+    sums = family_charsums(ctx, x, target)
+    assert sums.shape == (p - 1,)
+    assert sums[0] == sum(1 for m in oracle_members(target, x) if m % p)
+    for j in range(p - 1):
+        want = _FACTORED[target](ctx, Character(ctx, j), x, route="factored").value
+        assert abs(sums[j] - want) <= 1e-9 * max(1.0, abs(want)), j
+
+
+@pytest.mark.parametrize("run_chunk", [7, counting._RUN_CHUNK])
+@pytest.mark.parametrize("p", [3, 5, 13, 101])
+@pytest.mark.parametrize("target", ["squarefull", "S", "squarefree"])
+def test_family_histogram_counts_members(monkeypatch, run_chunk, p, target):
+    # x >= p^2 makes the square-free and square-full histograms use whole
+    # periods; a batch of 7 entries splits every run across batches
+    monkeypatch.setattr(counting, "_RUN_CHUNK", run_chunk)
+    for x in (1, 2, 100, 10**4):
+        want = np.bincount([m % p for m in oracle_members(target, x)], minlength=p)
+        assert np.array_equal(counting._FAMILIES[target][1](p, x), want), x
+
+
+def test_family_charsums_nontable_backend():
+    small = build_context(211)
+    big = build_context(211, table_threshold=2)
+    for target in ("squarefull", "S", "squarefree"):
+        a, b = family_charsums(small, 5000, target), family_charsums(big, 5000, target)
+        assert np.allclose(a, b, rtol=0, atol=1e-9)
+
+
+def test_family_charsums_rejects_modulus_past_int64_products():
+    # residues k * step mod p need k * step < 2^63; the first prime past
+    # isqrt(2^63 - 1) is refused before any p-length table is allocated
+    with pytest.raises(ValueError, match="charsum route needs p"):
+        family_charsums(build_context(3037000507), 100, "S")
+
+
+def test_charsum_check_rejects_wrong_spectrum(monkeypatch):
+    ctx = build_context(101)
+    good = family_charsums
+
+    def off_by_one(ctx, x, target):
+        sums = good(ctx, x, target)
+        sums[0] += 1
+        return sums
+
+    monkeypatch.setattr(counting, "family_charsums", off_by_one)
+    with pytest.raises(ArithmeticError, match="chi_0"):
+        count_squarefull_pr(ctx, 10**4, method="charsum")
+
+
+def test_checked_characters_fixed_sample():
+    assert counting._checked_characters(11, 100, "S") == list(range(10))
+    js = counting._checked_characters(4003, 10**6, "squarefree")
+    assert js == counting._checked_characters(4003, 10**6, "squarefree")
+    assert js[:2] == [0, 2001] and len(set(js)) == 10
+    assert js != counting._checked_characters(4003, 10**6, "squarefull")
 
 
 def test_count_single_method_fields():
