@@ -8,7 +8,7 @@ products never overflow) with numpy reserved for bulk sieves and tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,12 @@ __all__ = [
     "icbrt",
 ]
 
-# Deterministic Miller-Rabin witness set, valid for every n < 2^64.
+# Deterministic Miller-Rabin witness sets. 1 373 653 and 3 215 031 751 are
+# the least strong pseudoprimes to bases {2, 3} and {2, 3, 5, 7}
+# (Pomerance-Selfridge-Wagstaff, Math. Comp. 35 (1980); Jaeschke, Math. Comp.
+# 61 (1993)), so those sets are exact below them; the 7-base set is exact for
+# every n < 2^64.
+_MR_SMALL = ((1_373_653, (2, 3)), (3_215_031_751, (2, 3, 5, 7)))
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SIMPLE_SIEVE_CUTOFF = 1 << 22
@@ -82,7 +87,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    bases = next((bases for bound, bases in _MR_SMALL if n < bound), _MR_WITNESSES)
+    for a in bases:
         a %= n
         if a == 0:
             continue
@@ -100,14 +106,14 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    """n = prod p^e with factors ascending."""
+    """n = prod p^e with factors ascending; primes are the distinct p."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+    def __post_init__(self):
+        object.__setattr__(self, "primes", tuple(p for p, _ in self.factors))
 
 
 _TRIAL_LIMIT = 100_000
@@ -238,12 +244,17 @@ def is_primitive_root(a: int, ctx) -> bool:
     return True
 
 
-def least_primitive_root(p: int) -> int:
-    """g(p), the smallest positive primitive root."""
+def least_primitive_root(p: int, p1: Factorization | None = None) -> int:
+    """g(p), the smallest positive primitive root; p1, when given, is the
+    factorization of p - 1, which is then not recomputed."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("modulus must be an odd prime")
     n = p - 1
-    qs = factorize(n).primes
+    if p1 is None:
+        p1 = factorize(n)
+    elif p1.n != n:
+        raise ValueError(f"factorization of {p1.n} given for p - 1 = {n}")
+    qs = p1.primes
     a = 2
     while True:
         if all(pow(a, n // q, p) != 1 for q in qs):

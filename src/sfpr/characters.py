@@ -211,12 +211,14 @@ def build_context(p: int, table_threshold: int = TABLE_THRESHOLD) -> PrimeContex
     """Context for an odd prime modulus, 3 <= p < 2^63."""
     if p < 3 or p >= 1 << 63:
         raise ValueError("modulus must be an odd prime in [3, 2^63)")
-    if p % 2 == 0 or not arith.is_prime(p):
+    if p % 2 == 0:
         raise ValueError("modulus must be an odd prime")
+    # p - 1 is factored once; least_primitive_root tests p for primality
+    p1 = arith.factorize(p - 1)
     return PrimeContext(
         p=p,
-        generator=arith.least_primitive_root(p),
-        p1_factorization=arith.factorize(p - 1),
+        generator=arith.least_primitive_root(p, p1),
+        p1_factorization=p1,
         table_threshold=table_threshold,
     )
 

@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import arith
 from .analytics import constants_report, main_term_by_target
 from .characters import build_context
 from .counting import (
@@ -51,10 +50,12 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _context(p: int):
-    if p < 3 or p % 2 == 0 or not arith.is_prime(p):
-        raise ValueError("modulus must be an odd prime")
-    return build_context(p)
+def _jobs(args) -> int:
+    if args.jobs is None:
+        return _default_jobs()
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,7 +97,7 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def cmd_count(args) -> int:
-    ctx = _context(args.p)
+    ctx = build_context(args.p)
     rep = count_by_target(ctx, args.x, args.target, args.method)
     _emit(_json(asdict(rep)), args.out)
     if rep.residual is not None and rep.residual > args.tolerance * max(1, rep.characters_used):
@@ -106,16 +107,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_least(args) -> int:
-    _context(args.p)
     rec = scan_record(args.p)
     _emit(CSV_HEADER + "\n" + rec.csv_row() + "\n", args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
-    records = scan_range(
-        args.from_, args.to, jobs=args.jobs or _default_jobs(), progress=_progress("scan")
-    )
+    records = scan_range(args.from_, args.to, jobs=_jobs(args), progress=_progress("scan"))
     lines = [CSV_HEADER]
     lines.extend(r.csv_row() for r in records)
     _emit("\n".join(lines) + "\n", args.out)
@@ -123,9 +121,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
-    rep = hypothesis_scan(
-        args.limit, jobs=args.jobs or _default_jobs(), progress=_progress("hypothesis")
-    )
+    rep = hypothesis_scan(args.limit, jobs=_jobs(args), progress=_progress("hypothesis"))
     payload = {
         "limit": rep.limit,
         "exceptional": [[p, g] for p, g in rep.exceptional],
@@ -137,14 +133,14 @@ def cmd_hypothesis(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    ctx = _context(args.p)
+    ctx = build_context(args.p)
     rep = constants_report(ctx, tol=args.tolerance)
     _emit(_json(asdict(rep)), args.out)
     return 0
 
 
 def cmd_profile(args) -> int:
-    ctx = _context(args.p)
+    ctx = build_context(args.p)
     xs = _parse_grid(args.x_grid)
     if args.target == "thm31":
         xs = [x for x in xs if x >= 8]

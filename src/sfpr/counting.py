@@ -27,9 +27,16 @@ by a random.Random seeded from (p, x, target), or every character when
 p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of CHECK_RTOL or more raises
 ArithmeticError.
 
+The least square-full primitive root g_sf(p) is searched along one ascending
+list of the square-full numbers that are not perfect squares, shared by every
+prime of the process and grown on demand from a single square-full stream.
+Dropping the squares is exact for every odd p: a square is 0 or a quadratic
+residue mod p, and 2 | p - 1, so its order divides (p - 1)/2 and it is never
+a primitive root; the first hit is the same as along the full stream.
+
 Scans over prime ranges shard into contiguous blocks of 4096 primes; workers
-pull blocks, the parent flushes results in block order, so output is
-deterministic for any worker count.
+(never more than there are blocks) pull blocks, the parent flushes results in
+block order, so output is deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -334,17 +341,47 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
 # -- least elements ---------------------------------------------------------
 
 
+# Candidates of least_squarefull_pr (see the module docstring). A fixed
+# sequence, so sharing it across callers changes no result; its source stream
+# starts on first use, not at import.
+_NONSQUARE_SQUAREFULL: list[int] = []
+_CANDIDATE_STEP = 256
+_squarefull_source: Iterator[int] | None = None
+
+
+def _nonsquare_squarefull(count: int) -> list[int]:
+    """The shared candidate list, grown in steps of _CANDIDATE_STEP entries
+    until it holds count entries or more."""
+    global _squarefull_source
+    cands = _NONSQUARE_SQUAREFULL
+    if len(cands) < count:
+        if _squarefull_source is None:
+            _squarefull_source = squarefull.squarefull_stream()
+        want = max(count, len(cands) + _CANDIDATE_STEP)
+        for m in _squarefull_source:
+            if math.isqrt(m) ** 2 != m:
+                cands.append(m)
+                if len(cands) == want:
+                    break
+    return cands
+
+
 def least_squarefull_pr(ctx: PrimeContext, ceiling: int = SEARCH_CEILING) -> int:
-    """g_sf(p): first square-full primitive root along the ascending stream.
-    1 is skipped (its order is 1)."""
-    stream = squarefull.squarefull_stream()
-    next(stream)
-    for m in stream:
+    """g_sf(p): the first primitive root along the shared ascending list of
+    square-full non-squares. Skipping the squares (1 among them) is exact for
+    every odd p: a square is 0 or a quadratic residue mod p, so its order
+    divides (p-1)/2 and it is never a primitive root."""
+    cands = _NONSQUARE_SQUAREFULL
+    i = 0
+    while True:
+        if i == len(cands):
+            _nonsquare_squarefull(i + 1)
+        m = cands[i]
         if m > ceiling:
             raise ArithmeticError(f"no square-full primitive root below {ceiling}")
         if arith.is_primitive_root(m, ctx):
             return m
-    raise AssertionError("unreachable")
+        i += 1
 
 
 def least_squarefree_pr(ctx: PrimeContext) -> int:
@@ -422,7 +459,7 @@ def _run_blocks(worker, blocks, jobs: int, progress=None):
             if progress:
                 progress(i + 1, len(blocks))
         return results
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    with multiprocessing.get_context("fork").Pool(min(jobs, len(blocks))) as pool:
         for i, res in enumerate(pool.imap(worker, blocks)):
             results.append(res)
             if progress:

@@ -85,6 +85,29 @@ class TestIsPrime:
         assert arith.is_prime(10**9 + 7)
         assert not arith.is_prime((2**31 - 1) * (2**31 + 11))
 
+    def test_against_sieve_across_witness_bound(self):
+        # crosses 1 373 653, where the witness set grows from {2, 3}
+        limit = 3_300_000
+        want = np.zeros(limit + 1, dtype=bool)
+        want[arith.sieve_primes(limit)] = True
+        got = np.fromiter((arith.is_prime(n) for n in range(limit + 1)), dtype=bool, count=limit + 1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (829, 1657),  # 1373653, least strong pseudoprime to bases 2, 3
+            (2251, 11251),  # 25326001, to 2, 3, 5
+            (151, 751, 28351),  # 3215031751, to 2, 3, 5, 7
+            (6763, 10627, 29947),  # 2152302898747, to 2, ..., 11
+            (1303, 16927, 157543),  # 3474749660383, to 2, ..., 13
+            (10670053, 32010157),  # 341550071728321, to 2, ..., 17
+            (149491, 747451, 34233211),  # 3825123056546413051, to 2, ..., 23
+        ],
+    )
+    def test_strong_pseudoprimes_at_witness_bounds(self, factors):
+        assert not arith.is_prime(math.prod(factors))
+
 
 class TestFactorize:
     def test_frozen_example(self):
@@ -95,6 +118,11 @@ class TestFactorize:
             (11, 1),
             (797, 1),
         )
+
+    def test_primes_computed_once(self):
+        fac = arith.factorize(2**4 * 3 * 101)
+        assert fac.primes == (2, 3, 101)
+        assert fac.primes is fac.primes
 
     def test_one(self):
         assert arith.factorize(1).factors == ()
@@ -195,6 +223,19 @@ class TestPrimitiveRoots:
         for p in (2, 4, 9, 1):
             with pytest.raises(ValueError):
                 arith.least_primitive_root(p)
+
+    def test_least_with_given_factorization(self):
+        for p in (3, 7, 41, 1052041):
+            given = arith.factorize(p - 1)
+            assert arith.least_primitive_root(p, given) == arith.least_primitive_root(p)
+
+    def test_least_rejects_wrong_factorization(self):
+        with pytest.raises(ValueError):
+            arith.least_primitive_root(41, arith.factorize(42))
+
+    def test_least_with_factorization_still_checks_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be an odd prime"):
+            arith.least_primitive_root(9, arith.factorize(8))
 
     def test_is_primitive_root_exhaustive(self):
         for p in (3, 5, 7, 11, 13):

@@ -33,6 +33,23 @@ class TestContext:
             with pytest.raises(ValueError):
                 build_context(p)
 
+    @pytest.mark.parametrize("p", [1, 9, 15, 2**62])
+    def test_rejects_non_prime_message(self, p):
+        with pytest.raises(ValueError, match="modulus must be an odd prime"):
+            build_context(p)
+
+    @pytest.mark.parametrize("p", [3, 1009, 1052041, 2**61 - 1])
+    def test_factors_and_tests_once(self, monkeypatch, p):
+        factorized, tested = [], []
+        factorize, is_prime = arith.factorize, arith.is_prime
+        monkeypatch.setattr(arith, "factorize", lambda n: factorized.append(n) or factorize(n))
+        monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        ctx = build_context(p)
+        assert factorized == [p - 1]
+        assert tested.count(p) == 1
+        assert ctx.p1_factorization.n == p - 1
+        assert pow(ctx.generator, (p - 1) // 2, p) == p - 1
+
     def test_index_roundtrip(self):
         ctx = build_context(101)
         for m in range(1, 101):

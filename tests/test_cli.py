@@ -246,6 +246,17 @@ def test_hypothesis_small(capsys):
     assert ps == sorted(ps)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize(
+    "argv", [("scan", "--from", "3", "--to", "100"), ("hypothesis", "--limit", "200")]
+)
+def test_bad_jobs_rejected(capsys, argv, jobs):
+    code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert err == f"sfpr: error: --jobs must be at least 1, got {jobs}\n"
+
+
 # -- constants ---------------------------------------------------------------
 
 

@@ -6,13 +6,17 @@ package, just repeated multiplication.
 """
 
 import functools
+import json
+import math
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfpr import arith, counting
+from sfpr import arith, counting, squarefull
 from sfpr.characters import Character, build_context, characters_of_order
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
@@ -296,6 +300,28 @@ def test_least_squarefull_ceiling():
         least_squarefull_pr(build_context(11), ceiling=4)
 
 
+def test_least_squarefull_every_prime_below_3000():
+    ps = [p for p in range(3, 3000, 2) if oracle_is_prime(p)]
+    assert len(ps) == 429
+    for p in ps:
+        assert least_squarefull_pr(build_context(p)) == oracle_least_squarefull_pr(p), p
+
+
+def test_shared_candidates_are_squarefull_nonsquares():
+    want = [m for m in squarefull.enumerate_squarefull(10**6) if math.isqrt(m) ** 2 != m]
+    assert want[:4] == [8, 27, 32, 72]
+    assert counting._nonsquare_squarefull(len(want))[: len(want)] == want
+
+
+def test_hypothesis_scan_matches_pinned_pairs():
+    pinned_file = Path(__file__).resolve().parent.parent / "perfbench" / "hypothesis_1100000.json"
+    pinned = json.loads(pinned_file.read_text())
+    assert len(pinned) == 114
+    rep = hypothesis_scan(1_100_000, jobs=2)
+    assert [list(pair) for pair in rep.exceptional] == pinned
+    assert rep.largest == 1052041
+
+
 # -- scans ------------------------------------------------------------------
 
 
@@ -319,6 +345,41 @@ def test_scan_jobs_independent():
     one = scan_range(3, 2000, jobs=1, block_size=16)
     two = scan_range(3, 2000, jobs=2, block_size=16)
     assert [r.csv_row() for r in one] == [r.csv_row() for r in two]
+
+
+class _RecordingPool:
+    """Stands in for the fork context's Pool: records the requested worker
+    count and maps in this process."""
+
+    def __init__(self, requested, processes):
+        requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "run, jobs, want",
+    [
+        (lambda jobs: scan_range(3, 100, jobs=jobs, block_size=16), 16, [2]),
+        (lambda jobs: hypothesis_scan(2000, jobs=jobs, block_size=64), 16, [5]),
+        (lambda jobs: hypothesis_scan(2000, jobs=jobs, block_size=64), 3, [3]),
+        (lambda jobs: scan_range(3, 10, jobs=jobs, block_size=16), 16, []),
+    ],
+)
+def test_pool_workers_capped_by_blocks(monkeypatch, run, jobs, want):
+    requested = []
+    monkeypatch.setattr(
+        multiprocessing.get_context("fork"), "Pool", lambda n: _RecordingPool(requested, n)
+    )
+    run(jobs)
+    assert requested == want
 
 
 def test_scan_rejects_bad_range():
