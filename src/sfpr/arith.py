@@ -2,11 +2,15 @@
 functions, Legendre symbols, and primitive-root tests.
 
 Everything here works on plain Python ints (arbitrary precision, so modular
-products never overflow) with numpy reserved for bulk sieves and tables.
+products never overflow) with numpy reserved for bulk sieves and tables. The
+lane functions (pow_mod_lanes, prime_factors_lanes, legendre_lanes) apply one
+operation to a whole int64 array of moduli at once; they are exact for moduli
+up to MAX_INT64_MODULUS, where a product of two residues stays below 2^63.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +30,10 @@ __all__ = [
     "is_primitive_root",
     "least_primitive_root",
     "icbrt",
+    "MAX_INT64_MODULUS",
+    "pow_mod_lanes",
+    "prime_factors_lanes",
+    "legendre_lanes",
 ]
 
 # Deterministic Miller-Rabin witness sets. 1 373 653 and 3 215 031 751 are
@@ -167,8 +175,10 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
-        stack = [n]
+    else:
+        # the trial primes ran out below sqrt(n): the cofactor may be composite
+        stack = [n] if n > 1 else []
+        n = 1
         while stack:
             m = stack.pop()
             if is_prime(m):
@@ -177,6 +187,8 @@ def factorize(n: int) -> Factorization:
             d = _pollard_rho(m)
             stack.append(d)
             stack.append(m // d)
+    if n > 1:  # no prime up to sqrt(n) divides it
+        out[n] = out.get(n, 0) + 1
     return Factorization(original, tuple(sorted(out.items())))
 
 
@@ -272,3 +284,83 @@ def icbrt(n: int) -> int:
     while (r + 1) ** 3 <= n:
         r += 1
     return r
+
+
+# -- lanes: one operation over an int64 array of moduli ----------------------
+
+MAX_INT64_MODULUS = math.isqrt((1 << 63) - 1)  # (m - 1)^2 < 2^63 for every m up to this
+
+
+def pow_mod_lanes(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod, elementwise over int64 arrays of one shape, by
+    square-and-multiply; exact while every mod <= MAX_INT64_MODULUS."""
+    result = np.ones_like(mod)
+    base = base % mod
+    while exp.any():
+        result = np.where(exp & 1 == 1, result * base % mod, result)
+        base = base * base % mod
+        exp = exp >> 1
+    return result % mod
+
+
+def prime_factors_lanes(ns: np.ndarray) -> np.ndarray:
+    """The distinct prime factors of every n of ns, an ascending int64 array
+    of distinct positive integers, as a matrix with one ascending row per n,
+    zero-padded. One sieve over [ns[0], ns[-1]] by the primes up to
+    sqrt(ns[-1]) finds the small factors, so memory is O(ns[-1] - ns[0]); the
+    cofactor left after them is 1 or a prime."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if len(ns) == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    lo, hi = int(ns[0]), int(ns[-1])
+    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slot[ns - lo] = np.arange(len(ns))
+    qs = sieve_primes(max(2, math.isqrt(hi)))
+    first = -lo % qs  # offset of the first multiple of q at or above lo
+    counts = np.maximum((hi - lo - first) // qs + 1, 0)
+    q = np.repeat(qs, counts)
+    step = np.arange(len(q)) - np.repeat(np.cumsum(counts) - counts, counts)
+    owner = slot[np.repeat(first, counts) + step * q]
+    q, owner = q[owner >= 0], owner[owner >= 0]
+    # q^e, the full power of q in its n, and the cofactor the small q leave
+    power = q.copy()
+    n = ns[owner]
+    deeper = np.flatnonzero(n % (q * q) == 0)
+    while len(deeper):
+        power[deeper] *= q[deeper]
+        deeper = deeper[n[deeper] % (power[deeper] * q[deeper]) == 0]
+    smooth = np.ones(len(ns), dtype=np.int64)
+    np.multiply.at(smooth, owner, power)
+    cofactor = ns // smooth
+    big = np.flatnonzero(cofactor > 1)
+    owner = np.concatenate([owner, big])
+    q = np.concatenate([q, cofactor[big]])
+    order = np.lexsort((q, owner))
+    owner, q = owner[order], q[order]
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    out = np.zeros((len(ns), int(rank.max(initial=-1)) + 1), dtype=np.int64)
+    out[owner, rank] = q
+    return out
+
+
+@functools.cache
+def _reciprocity_table(ell: int) -> np.ndarray:
+    """t[r] = (ell|p) for every odd prime p = r mod 4 ell, p != ell: the
+    second supplement (2|p) = (-1)^((p^2-1)/8) for ell = 2, quadratic
+    reciprocity (ell|p) = (p|ell) (-1)^((ell-1)/2 (p-1)/2) for odd ell.
+    Entries that no such p reaches are 0."""
+    t = np.zeros(4 * ell, dtype=np.int8)
+    for r in range(1, 4 * ell, 2):
+        if ell == 2:
+            t[r] = 1 if r % 8 in (1, 7) else -1
+        elif r % ell:
+            p_over_ell = 1 if pow(r, (ell - 1) // 2, ell) == 1 else -1
+            t[r] = -p_over_ell if ell % 4 == 3 and r % 4 == 3 else p_over_ell
+    t.flags.writeable = False
+    return t
+
+
+def legendre_lanes(ell: int, ps: np.ndarray) -> np.ndarray:
+    """(ell|p) as int8 for every odd prime p of the int64 array ps, ell a
+    prime, looked up from p mod 4 ell; 0 where p = ell."""
+    return _reciprocity_table(ell)[ps % (4 * ell)]

@@ -34,13 +34,30 @@ Dropping the squares is exact for every odd p: a square is 0 or a quadratic
 residue mod p, and 2 | p - 1, so its order divides (p - 1)/2 and it is never
 a primitive root; the first hit is the same as along the full stream.
 
-Scans over prime ranges shard into contiguous blocks of 4096 primes; workers
-(never more than there are blocks) pull blocks, the parent flushes results in
-block order, so output is deterministic for any worker count.
+The hypothesis scan finds g_sf(p) for a whole block of primes at once, in
+numpy lanes. The distinct primes of every p - 1 come from one sieve over the
+block's span (arith.prime_factors_lanes). Every candidate is m = a^2 b^3 with b
+square-free, so (m|p) = (b|p), a product of symbols (l|p) for a few small
+primes l, each read from p mod 4l by quadratic reciprocity
+(arith.legendre_lanes): residues and multiples of p are dropped without a
+power, and 2 | p - 1 makes the non-residues pass the test at q = 2. The odd q
+run as int64 square-and-multiply lanes (arith.pow_mod_lanes), exact up to
+arith.MAX_INT64_MODULUS, over a head of _LANE_HEAD candidates; the few primes
+still open after it finish on the scalar least_squarefull_pr. Every prime the
+block reports (g_sf(p) >= p), and CROSS_CHECK_SAMPLE more drawn by a
+random.Random seeded from the block's first prime, is derived again by
+least_squarefull_pr on build_context, whose factorization comes from
+arith.factorize; a disagreement raises ArithmeticError.
+
+Scans over prime ranges shard into contiguous blocks of 4096 primes, slices of
+one sieve; workers (never more than there are blocks) pull blocks, the parent
+flushes results in block order, so output is deterministic for any worker
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import random
@@ -79,7 +96,7 @@ BLOCK_SIZE = 4096
 SEARCH_CEILING = 1 << 32
 CHECK_SAMPLE = 8
 CHECK_RTOL = 1e-9
-_MAX_HISTOGRAM_P = math.isqrt((1 << 63) - 1)  # residue products stay below 2^63
+CROSS_CHECK_SAMPLE = 32
 
 
 def pr_decomposition(ctx: PrimeContext) -> np.ndarray:
@@ -238,8 +255,8 @@ def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
     if x < 1:
         raise ValueError("need x >= 1")
     p, n = ctx.p, ctx.p - 1
-    if p > _MAX_HISTOGRAM_P:
-        raise ValueError(f"charsum route needs p <= {_MAX_HISTOGRAM_P}")
+    if p > arith.MAX_INT64_MODULUS:
+        raise ValueError(f"charsum route needs p <= {arith.MAX_INT64_MODULUS}")
     h = _family(target)[1](p, x)
     if ctx.has_index_table:
         hist = np.zeros(n)
@@ -384,14 +401,32 @@ def least_squarefull_pr(ctx: PrimeContext, ceiling: int = SEARCH_CEILING) -> int
         i += 1
 
 
+# Candidates of least_squarefree_pr: the square-free numbers >= 2, ascending,
+# shared like the square-full list and regrown from a table twice as long.
+_SQUAREFREE: list[int] = []
+
+
+def _squarefree_above_one(count: int) -> list[int]:
+    """The shared square-free list, grown until it holds count entries or
+    more."""
+    cands = _SQUAREFREE
+    top = max(64, 2 * (cands[-1] if cands else 0))
+    while len(cands) < count:
+        cands[:] = (np.flatnonzero(squarefull.squarefree_table(top)[2:]) + 2).tolist()
+        top *= 2
+    return cands
+
+
 def least_squarefree_pr(ctx: PrimeContext) -> int:
-    m = 1
+    """The least square-free primitive root mod p."""
+    cands = _SQUAREFREE
+    i = 0
     while True:
-        m += 1
-        if arith.mobius(m) == 0:
-            continue
-        if arith.is_primitive_root(m, ctx):
-            return m
+        if i == len(cands):
+            _squarefree_above_one(i + 1)
+        if arith.is_primitive_root(cands[i], ctx):
+            return cands[i]
+        i += 1
 
 
 # -- deterministic sharded scans --------------------------------------------
@@ -430,24 +465,114 @@ def scan_record(p: int) -> ScanRecord:
     )
 
 
-def _prime_blocks(lo: int, hi: int, block_size: int) -> list[list[int]]:
+def _prime_blocks(lo: int, hi: int, block_size: int) -> list[np.ndarray]:
+    """The primes of [lo, hi] as consecutive int64 slices of the sieve."""
     ps = arith.sieve_primes(hi) if hi >= 2 else np.array([], dtype=np.int64)
-    ps = [int(p) for p in ps[ps >= lo]]
+    ps = ps[ps >= lo]
     return [ps[i : i + block_size] for i in range(0, len(ps), block_size)]
 
 
-def _scan_block(block: list[int]) -> list[ScanRecord]:
-    return [scan_record(p) for p in block]
+def _scan_block(block: np.ndarray) -> list[ScanRecord]:
+    return [scan_record(int(p)) for p in block]
 
 
-def _hypothesis_block(block: list[int]) -> list[tuple[int, int]]:
-    out = []
-    for p in block:
-        ctx = build_context(p)
-        g = least_squarefull_pr(ctx)
-        if g >= p:
-            out.append((p, g))
-    return out
+# -- least square-full primitive roots of a block, in lanes --------------------
+#
+# Every candidate is m = a^2 b^3 with b square-free, so for p not dividing m,
+# (m|p) = (b|p), the product of (l|p) over the primes l | b, which quadratic
+# reciprocity gives from p mod 4l. A quadratic residue is never a primitive
+# root, and a non-residue passes the test at q = 2, since 2 | p - 1; only the
+# odd q | p - 1 are left, and they run as int64 lanes, one per (prime,
+# candidate, q). A pass takes the next columns of the head for every prime
+# still open, _LANE_FIRST in the first pass and twice as many in each next,
+# because most primes stop at their first non-residues. The primes still open
+# after the _LANE_HEAD candidates of the head go to least_squarefull_pr.
+
+_LANE_HEAD = 512
+_LANE_FIRST = 2
+
+
+@dataclass(frozen=True)
+class _Factored:
+    """What arith.is_primitive_root reads of a context: p and the distinct
+    primes of p - 1."""
+
+    p: int
+    p1_primes: tuple[int, ...]
+
+
+@functools.cache
+def _lane_head() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first _LANE_HEAD shared candidates m as int64, the primes l up to
+    their cube root (l | b implies l^3 | m), and the 0/1 matrix
+    [l divides m an odd number of times], i.e. [l | b], one row per l."""
+    cands = np.array(_nonsquare_squarefull(_LANE_HEAD)[:_LANE_HEAD], dtype=np.int64)
+    ells = arith.sieve_primes(max(2, arith.icbrt(int(cands[-1]))))
+    in_b = np.zeros((len(ells), len(cands)), dtype=np.int64)
+    for row, ell in zip(in_b, ells):
+        rest = cands.copy()
+        hit = rest % ell == 0
+        while hit.any():
+            row[hit] ^= 1
+            rest[hit] //= ell
+            hit = rest % ell == 0
+    for a in (cands, ells, in_b):
+        a.flags.writeable = False
+    return cands, ells, in_b
+
+
+def _lane_search(ps: np.ndarray) -> np.ndarray:
+    """g_sf(p) for every prime p of the ascending int64 block ps (odd primes,
+    each <= arith.MAX_INT64_MODULUS)."""
+    cands, ells, in_b = _lane_head()
+    p1_primes = arith.prime_factors_lanes(ps - 1)
+    odd_q = p1_primes[:, 1:]  # column 0 is 2 for every even p - 1
+    symbols = np.stack([arith.legendre_lanes(int(ell), ps) for ell in ells], axis=1)
+    nonres = (symbols == -1).astype(np.int64)
+    g = np.zeros(len(ps), dtype=np.int64)
+    live = np.arange(len(ps))
+    lo, width = 0, _LANE_FIRST
+    while lo < len(cands) and len(live):
+        hi, width = lo + width, 2 * width
+        m = cands[lo:hi]
+        p = ps[live]
+        usable = (nonres[live] @ in_b[:, lo:hi]) % 2 == 1
+        usable &= m % p[:, None] != 0
+        row, col = np.nonzero(usable)  # row-major: columns ascend within a row
+        q = odd_q[live[row]]
+        lane = q > 0
+        pp = np.broadcast_to(p[row, None], q.shape)[lane]
+        mm = np.broadcast_to(m[col, None], q.shape)[lane]
+        one = np.zeros(q.shape, dtype=bool)
+        one[lane] = arith.pow_mod_lanes(mm, (pp - 1) // q[lane], pp) == 1
+        ok = ~one.any(axis=1)
+        found, first = np.unique(row[ok], return_index=True)
+        g[live[found]] = m[col[ok][first]]
+        keep = np.ones(len(live), dtype=bool)
+        keep[found] = False
+        live = live[keep]
+        lo = hi
+    for i in live:
+        row = p1_primes[i]
+        g[i] = least_squarefull_pr(_Factored(int(ps[i]), tuple(row[row > 0].tolist())))
+    return g
+
+
+def _hypothesis_block(ps: np.ndarray) -> list[tuple[int, int]]:
+    """(p, g_sf(p)) for the primes of the block with g_sf(p) >= p. The lane
+    result of every such prime, and of CROSS_CHECK_SAMPLE primes drawn by a
+    random.Random seeded from the block's first prime, is derived again by
+    least_squarefull_pr on build_context (factorization by arith.factorize);
+    a disagreement raises ArithmeticError."""
+    g = _lane_search(ps)
+    reported = np.flatnonzero(g >= ps).tolist()
+    sample = random.Random(f"{int(ps[0])}").sample(range(len(ps)), min(len(ps), CROSS_CHECK_SAMPLE))
+    for i in sorted(set(reported) | set(sample)):
+        p = int(ps[i])
+        want = least_squarefull_pr(build_context(p))
+        if want != g[i]:
+            raise ArithmeticError(f"g_sf({p}): lane search gives {g[i]}, scalar route {want}")
+    return [(int(ps[i]), int(g[i])) for i in reported]
 
 
 def _run_blocks(worker, blocks, jobs: int, progress=None):
@@ -494,6 +619,10 @@ def hypothesis_scan(
     """All primes p <= limit with g_sf(p) >= p."""
     if limit < 3:
         raise ValueError("need limit >= 3")
+    if limit > arith.MAX_INT64_MODULUS:
+        raise ValueError(
+            f"need limit <= {arith.MAX_INT64_MODULUS}: the lane search squares residues in int64"
+        )
     blocks = _prime_blocks(3, limit, block_size)
     exceptional: list[tuple[int, int]] = []
     for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):

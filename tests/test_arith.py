@@ -149,6 +149,33 @@ class TestFactorize:
         q = 1000003
         assert arith.factorize(q * q).factors == ((q, 2),)
 
+    def test_two_primes_just_above_trial_limit(self):
+        assert arith.factorize(100003 * 100019).factors == ((100003, 1), (100019, 1))
+        assert arith.factorize(2 * 3 * 100003 * 100019).factors == (
+            (2, 1), (3, 1), (100003, 1), (100019, 1),
+        )
+
+    def test_matches_smallest_prime_factor_oracle(self):
+        limit = 200_000
+        spf = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(limit, 1, -1):
+            spf[d::d] = d  # the last write, by the smallest d, wins
+        for n in range(1, limit + 1):
+            want, m = {}, n
+            while m > 1:
+                d = int(spf[m])
+                want[d] = want.get(d, 0) + 1
+                m //= d
+            assert arith.factorize(n).factors == tuple(sorted(want.items())), n
+
+    def test_no_primality_test_when_trial_division_finishes(self, monkeypatch):
+        tested = []
+        is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        assert arith.factorize(1052041 - 1).primes == (2, 3, 5, 11, 797)
+        assert arith.factorize(2 * 999983).primes == (2, 999983)
+        assert tested == []
+
 
 class TestMultiplicativeFunctions:
     def test_phi_frozen(self):
@@ -255,3 +282,43 @@ class TestIcbrt:
     def test_exact_cubes(self):
         for k in (0, 1, 2, 10, 10**6):
             assert arith.icbrt(k**3) == k
+
+
+class TestLanes:
+    def test_pow_mod_matches_pow(self):
+        rng = np.random.default_rng(7)
+        top = arith.MAX_INT64_MODULUS
+        mod = np.concatenate([rng.integers(2, 10**6, 500), rng.integers(top - 10**6, top + 1, 500)])
+        base = rng.integers(0, 2**62, len(mod))
+        exp = rng.integers(0, 2**40, len(mod))
+        exp[:3] = 0
+        got = arith.pow_mod_lanes(base, exp, mod)
+        assert got.tolist() == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mod)]
+
+    def test_bound_is_the_largest_int64_square(self):
+        m = arith.MAX_INT64_MODULUS
+        assert (m - 1) ** 2 < m**2 < 2**63 <= (m + 1) ** 2
+
+    def test_prime_factors_match_factorize(self):
+        ns = np.arange(1, 5001, dtype=np.int64)
+        got = arith.prime_factors_lanes(ns)
+        for n, row in zip(ns, got):
+            assert tuple(row[row > 0].tolist()) == arith.factorize(int(n)).primes, n
+
+    def test_prime_factors_window_below_the_bound(self):
+        top = arith.MAX_INT64_MODULUS
+        ns = np.arange(top - 3000, top + 1, 7, dtype=np.int64)
+        got = arith.prime_factors_lanes(ns)
+        for n, row in zip(ns, got):
+            assert tuple(row[row > 0].tolist()) == arith.factorize(int(n)).primes, n
+
+    def test_prime_factors_one_and_empty(self):
+        assert arith.prime_factors_lanes(np.array([1], dtype=np.int64)).shape == (1, 0)
+        assert arith.prime_factors_lanes(np.array([2], dtype=np.int64)).tolist() == [[2]]
+        assert arith.prime_factors_lanes(np.array([], dtype=np.int64)).shape[0] == 0
+
+    @pytest.mark.parametrize("ell", [int(q) for q in arith.sieve_primes(113)])
+    def test_legendre_by_reciprocity(self, ell):
+        ps = arith.sieve_primes(20000)[1:]
+        got = arith.legendre_lanes(ell, ps)
+        assert got.tolist() == [arith.legendre(ell, int(p)) for p in ps]

@@ -6,9 +6,11 @@ package, just repeated multiplication.
 """
 
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
+import random
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, counting, squarefull
-from sfpr.characters import Character, build_context, characters_of_order
+from sfpr.characters import Character, PrimeContext, build_context, characters_of_order
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
     CSV_HEADER,
@@ -307,6 +309,17 @@ def test_least_squarefull_every_prime_below_3000():
         assert least_squarefull_pr(build_context(p)) == oracle_least_squarefull_pr(p), p
 
 
+def test_least_squarefree_every_prime_below_3000():
+    ps = [p for p in range(3, 3000, 2) if oracle_is_prime(p)]
+    for p in ps:
+        assert least_squarefree_pr(build_context(p)) == oracle_least_squarefree_pr(p), p
+
+
+def test_shared_squarefree_candidates():
+    want = [m for m in range(2, 5000) if oracle_is_squarefree(m)]
+    assert counting._squarefree_above_one(len(want))[: len(want)] == want
+
+
 def test_shared_candidates_are_squarefull_nonsquares():
     want = [m for m in squarefull.enumerate_squarefull(10**6) if math.isqrt(m) ** 2 != m]
     assert want[:4] == [8, 27, 32, 72]
@@ -320,6 +333,95 @@ def test_hypothesis_scan_matches_pinned_pairs():
     rep = hypothesis_scan(1_100_000, jobs=2)
     assert [list(pair) for pair in rep.exceptional] == pinned
     assert rep.largest == 1052041
+
+
+# -- the lane search of a block ---------------------------------------------
+
+_LANE_LIMIT = 200_000
+
+
+def test_lane_search_matches_scalar_route():
+    blocks = counting._prime_blocks(3, _LANE_LIMIT, 4096)
+    ps = np.concatenate(blocks)
+    assert {3, 5, 7, 17, 257, 65537} <= set(ps.tolist())
+    got = np.concatenate([counting._lane_search(b) for b in blocks])
+    for p, g in zip(ps.tolist(), got.tolist()):
+        assert g == least_squarefull_pr(build_context(p)), p
+
+
+def test_block_factorization_matches_factorize():
+    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+        rows = arith.prime_factors_lanes(block - 1)
+        for p, row in zip(block.tolist(), rows):
+            assert tuple(row[row > 0].tolist()) == arith.factorize(p - 1).primes, p
+
+
+def test_lane_tail_reached():
+    # 1052041 is the largest prime below 1.1e6 whose g_sf exceeds it: its
+    # search runs past the lanes' head into the scalar tail
+    ps = arith.sieve_primes(1052041)[-3:]
+    got = counting._lane_search(ps).tolist()
+    assert got == [least_squarefull_pr(build_context(int(p))) for p in ps]
+    assert got[-1] > counting._lane_head()[0][-1]
+
+
+def test_lane_search_skips_multiples_of_p(monkeypatch):
+    # 200 = 5^2 2^3 is a non-residue by its b = 2, (2|5) = -1, yet 0 mod 5
+    head = (np.array([200, 8]), np.array([2]), np.array([[1, 1]]))
+    monkeypatch.setattr(counting, "_lane_head", lambda: head)
+    assert counting._lane_search(np.array([5])).tolist() == [8]
+
+
+def _corrupt(monkeypatch, pick):
+    search = counting._lane_search
+
+    def wrong(ps):
+        g = search(ps)
+        i = pick(ps, g)
+        if i is not None:
+            g[i] += 1
+        return g
+
+    monkeypatch.setattr(counting, "_lane_search", wrong)
+
+
+def test_corrupt_lane_result_of_sampled_prime_raises(monkeypatch):
+    # blocks no longer than the sample are checked at every prime
+    assert counting.CROSS_CHECK_SAMPLE >= 16
+    _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None)
+    with pytest.raises(ArithmeticError, match="lane search"):
+        hypothesis_scan(2000, block_size=16)
+
+
+def test_corrupt_lane_result_of_reported_prime_raises(monkeypatch):
+    _corrupt(monkeypatch, lambda ps, g: 2 if ps[2] == 7 else None)
+    with pytest.raises(ArithmeticError, match=r"g_sf\(7\)"):
+        hypothesis_scan(100_000, block_size=4096)
+
+
+def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
+    checked = []
+    search = counting.least_squarefull_pr
+
+    def record(ctx, *args):
+        if isinstance(ctx, PrimeContext):  # not the lane search's own tail
+            checked.append(ctx.p)
+        return search(ctx, *args)
+
+    monkeypatch.setattr(counting, "least_squarefull_pr", record)
+    rep = hypothesis_scan(_LANE_LIMIT, block_size=4096)
+    want = {p for p, _ in rep.exceptional}
+    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+        rng = random.Random(f"{int(block[0])}")
+        picks = rng.sample(range(len(block)), min(len(block), counting.CROSS_CHECK_SAMPLE))
+        want |= {int(block[i]) for i in picks}
+    assert sorted(checked) == sorted(want)
+
+
+def test_hypothesis_rejects_limit_past_int64_lanes(monkeypatch):
+    monkeypatch.setattr(arith, "sieve_primes", lambda n: pytest.fail("sieved"))
+    with pytest.raises(ValueError, match=str(arith.MAX_INT64_MODULUS)):
+        hypothesis_scan(arith.MAX_INT64_MODULUS + 1)
 
 
 # -- scans ------------------------------------------------------------------
@@ -339,6 +441,14 @@ def test_scan_range_3_to_100():
     assert records[0].csv_row().startswith("3,8,2,2")
     for r in records:
         assert r.g_least_pr <= r.g_squarefree
+
+
+def test_scan_csv_to_1e5_pinned():
+    # sha256 of `sfpr scan --from 3 --to 100000` from before the shared
+    # square-free candidate list
+    rows = [CSV_HEADER, *(r.csv_row() for r in scan_range(3, 100_000, jobs=2))]
+    digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+    assert digest == "cfe85c7bd96840c359f78fb6b39e4d2fb16643e64c44aa08cb9e072ea2eb9501"
 
 
 def test_scan_jobs_independent():
