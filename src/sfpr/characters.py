@@ -6,14 +6,16 @@ chi_j(m) = 0 when p | m. j = 0 is the principal character, j = (p-1)/2 the
 quadratic one (it coincides with the Legendre symbol).
 
 Discrete logs come from a full lookup table for p up to the table threshold
-(default 2^20) and from baby-step giant-step above it. Both backends are built
+(default 2^20), filled in numpy blocks of about sqrt(p) consecutive powers of
+the generator, and from baby-step giant-step above it. Both backends are built
 lazily; a context stays lightweight until something asks for an index.
 
 Per-character tables (values over all p residues and their prefix sums) are
 held in a least-recently-used cache of CHI_CACHE_SIZE entries per context, so
 they take at most CHI_CACHE_SIZE * 16 p bytes however many characters are
-visited. A factored character sum uses at most three of them at a time (chi^2
-values and prefix, chi^3 values), so one sum never evicts its own tables.
+visited. A factored character sum uses at most two of them, the values and
+prefix of one character, and only when an interval reaches p, so one sum
+never evicts its own tables.
 """
 
 from __future__ import annotations
@@ -86,12 +88,24 @@ class PrimeContext:
         if not self.has_index_table:
             raise ValueError("index table requires the full-index backend")
         if self._index_table is None:
-            p, g = self.p, self.generator
-            table = np.zeros(p, dtype=np.int64)
+            # blocks of span = isqrt(p-1)+1 consecutive powers: block i is
+            # g^(i span) * (g^0 .. g^(span-1)) mod p, one numpy product each;
+            # the products stay below p^2 < 2^63 for any p whose table fits
+            # in memory
+            p, g, n = self.p, self.generator, self.p - 1
+            span = math.isqrt(n) + 1
+            powers = np.empty(span, dtype=np.int64)
             v = 1
-            for k in range(p - 1):
-                table[v] = k
+            for k in range(span):
+                powers[k] = v
                 v = v * g % p
+            ks = np.arange(span, dtype=np.int64)
+            table = np.zeros(p, dtype=np.int64)
+            lead = 1
+            for start in range(0, n, span):
+                m = min(span, n - start)
+                table[powers[:m] * lead % p] = ks[:m] + start
+                lead = lead * v % p
             self._index_table = table
         return self._index_table
 

@@ -12,10 +12,15 @@ set and adds character values. "factored" rewrites the sum exactly:
 Route equality is an exact identity, so the pair doubles as a correctness
 check; tests and the verify suite exercise it on randomized inputs.
 
-Interval prefix sums are built per character over a single period, held in
-the context's bounded table cache, and answered in O(1) by periodicity.
-Contexts above the discrete-log table threshold fall back to per-term
-evaluation.
+Each factored sum is one dot product of two arrays over its outer variable
+(d, b or r): the character values at those points (_values_at) and the
+inner interval or prime sums at the matching bounds (_interval_values).
+Values are read from the discrete-log table as roots of unity, without a
+per-character table. Interval sums come from one prefix: over 1..max(x)
+when every bound is below p, otherwise over a single period, held in the
+context's bounded table cache and extended by periodicity. Contexts above
+the discrete-log table threshold evaluate each value by baby-step
+giant-step through char_eval, on the same route.
 """
 
 from __future__ import annotations
@@ -55,22 +60,34 @@ def _primes_cached(limit: int) -> np.ndarray:
     return arith.sieve_primes(limit)
 
 
-def _interval_value(chi: Character, x: int) -> complex:
+def _values_at(chi: Character, ms: np.ndarray) -> np.ndarray:
+    """chi(m) for every m in ms, 0 at multiples of p."""
     ctx = chi.ctx
-    if x <= 0:
-        return 0j
-    if ctx.has_index_table:
+    if not ctx.has_index_table:
+        return np.array([char_eval(chi, int(m)) for m in ms], dtype=np.complex128)
+    r = np.asarray(ms, dtype=np.int64) % ctx.p
+    vals = ctx.roots_of_unity()[ctx.index_table()[r] * chi.j % (ctx.p - 1)]
+    vals[r == 0] = 0
+    return vals
+
+
+def _interval_values(chi: Character, xs: np.ndarray) -> np.ndarray:
+    """sum_{m <= x} chi(m) for every x >= 0 in xs."""
+    ctx = chi.ctx
+    xs = np.asarray(xs, dtype=np.int64)
+    top = int(xs.max(initial=0))
+    if top >= ctx.p and ctx.has_index_table:
         pre = ctx.chi_prefix(chi.j)
-        q, r = divmod(x, ctx.p)
-        return complex(q * pre[ctx.p - 1] + pre[r])
-    return sum(char_eval(chi, m) for m in range(1, x + 1))
+        q, r = np.divmod(xs, ctx.p)
+        return q * pre[ctx.p - 1] + pre[r]
+    return np.cumsum(_values_at(chi, np.arange(top + 1)))[xs]
 
 
 def sum_char_interval(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     """sum_{m <= x} chi(m)."""
     if x < 1:
         raise ValueError("need x >= 1")
-    return SumResult(_interval_value(chi, x), x, "interval")
+    return SumResult(complex(_interval_values(chi, [x])[0]), x, "interval")
 
 
 # -- square-full ------------------------------------------------------------
@@ -113,19 +130,10 @@ def _squarefull_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
 
 
 def _squarefull_factored(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    chi2 = chi.power(2)
-    chi3 = chi.power(3)
-    bmax = arith.icbrt(x)
-    sf = squarefull.squarefree_table(bmax)
-    total = 0j
-    terms = 0
-    for b in range(1, bmax + 1):
-        if not sf[b]:
-            continue
-        amax = math.isqrt(x // (b * b * b))
-        total += char_eval(chi3, b) * _interval_value(chi2, amax)
-        terms += amax
-    return SumResult(total, terms, "factored")
+    b = np.flatnonzero(squarefull.squarefree_table(arith.icbrt(x)))
+    amax = np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
+    total = np.dot(_values_at(chi.power(3), b), _interval_values(chi.power(2), amax))
+    return SumResult(complex(total), int(amax.sum()), "factored")
 
 
 # -- square-free ------------------------------------------------------------
@@ -155,19 +163,11 @@ def _squarefree_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
 
 
 def _squarefree_factored(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    p = ctx.p
-    dmax = math.isqrt(x)
-    mu = arith.mobius_table(dmax)
-    total = 0j
-    terms = 0
-    for d in range(1, dmax + 1):
-        m = int(mu[d])
-        if m == 0:
-            continue
-        inner_x = x // (d * d)
-        total += m * char_eval(chi, d * d % p) * _interval_value(chi, inner_x)
-        terms += inner_x
-    return SumResult(total, terms, "factored")
+    mu = arith.mobius_table(math.isqrt(x))
+    d = np.flatnonzero(mu)
+    inner_x = x // (d * d)
+    total = np.dot(mu[d] * _values_at(chi, d * d), _interval_values(chi, inner_x))
+    return SumResult(complex(total), int(inner_x.sum()), "factored")
 
 
 # -- primes -----------------------------------------------------------------
@@ -200,30 +200,17 @@ def sum_char_prime_powerful(
         return SumResult(total, len(vals), "direct")
     if route != "factored":
         raise ValueError(f"unknown route {route!r}")
-    chi2 = chi.power(2)
-    chi3 = chi.power(3)
     rmax = arith.icbrt(x)
     if rmax < 2:
         return SumResult(0j, 0, "factored")
     qlimit = math.isqrt(x // 8)
-    primes = _primes_cached(max(qlimit, rmax)) if qlimit >= 2 else np.array([], dtype=np.int64)
-    if ctx.has_index_table:
-        inner_vals = ctx.chi_values(chi2.j)[primes % ctx.p]
-    else:
-        inner_vals = np.array([char_eval(chi2, int(q)) for q in primes])
-    cum = np.concatenate([[0j], np.cumsum(inner_vals)])
-    total = 0j
-    terms = 0
-    for r in primes:
-        r = int(r)
-        cube = r * r * r
-        if cube > x:
-            break
-        qmax = math.isqrt(x // cube)
-        k = int(np.searchsorted(primes, qmax, side="right"))
-        total += char_eval(chi3, r) * complex(cum[k])
-        terms += k
-    return SumResult(total, terms, "factored")
+    primes = _primes_cached(max(qlimit, rmax))
+    r = primes[: np.searchsorted(primes, rmax, side="right")]
+    qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
+    k = np.searchsorted(primes, qmax, side="right")
+    cum = np.concatenate([[0j], np.cumsum(_values_at(chi.power(2), primes))])
+    total = np.dot(_values_at(chi.power(3), r), cum[k])
+    return SumResult(complex(total), int(k.sum()), "factored")
 
 
 # -- empirical envelope gauges ----------------------------------------------
@@ -242,7 +229,7 @@ def burgess_ratio(ctx: PrimeContext, chi: Character, x: int, r: int) -> float:
         raise ValueError("need r >= 2")
     if x < 1:
         raise ValueError("need x >= 1")
-    return abs(_interval_value(chi, x)) / burgess_envelope(ctx.p, x, r)
+    return abs(_interval_values(chi, [x])[0]) / burgess_envelope(ctx.p, x, r)
 
 
 def grh_prime_ratio(ctx: PrimeContext, chi: Character, x: int) -> float:

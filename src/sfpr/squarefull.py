@@ -67,8 +67,9 @@ def squarefree_table(x: int) -> np.ndarray:
         raise ValueError("need x >= 1")
     t = np.ones(x + 1, dtype=bool)
     t[0] = False
-    for d in range(2, math.isqrt(x) + 1):
-        t[d * d :: d * d] = False
+    if x >= 4:
+        for q in arith.sieve_primes(math.isqrt(x)):
+            t[q * q :: q * q] = False
     return t
 
 

@@ -253,6 +253,13 @@ def test_li_vs_expi():
         assert li(x) == pytest.approx(want, abs=1e-8, rel=1e-12)
 
 
+def test_li_vs_mpmath_log_grid():
+    for x in np.geomspace(2.0, 1e12, 61)[1:]:
+        x = float(x)
+        want = float(mp.li(x) - mp.li(2))
+        assert li(x) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_li_prime_count_crosscheck():
     assert li(10**6) == pytest.approx(78498, rel=3e-3)
 

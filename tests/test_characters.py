@@ -2,6 +2,8 @@
 classes, orthogonality."""
 
 import cmath
+import math
+import random
 
 import numpy as np
 import pytest
@@ -68,6 +70,28 @@ class TestContext:
         assert not small.has_index_table
         for m in list(range(1, 60)) + [500, 777, 1008]:
             assert small.index(m) == full.index(m)
+
+    def test_index_table_permutation_small_primes(self):
+        for p in arith.sieve_primes(4999)[1:]:
+            p = int(p)
+            ctx = build_context(p)
+            ind = ctx.index_table()
+            assert ind[0] == 0
+            assert sorted(ind[1:].tolist()) == list(range(p - 1))
+            powers = [pow(ctx.generator, k, p) for k in range(p - 1)]
+            assert ind[powers].tolist() == list(range(p - 1))
+
+    def test_index_table_large_prime(self):
+        p = 1048573
+        # the table is built in blocks of isqrt(p-1)+1 powers; here the last
+        # block is partial
+        assert (p - 1) % (math.isqrt(p - 1) + 1) != 0
+        ctx = build_context(p)
+        ind = ctx.index_table()
+        assert np.array_equal(np.sort(ind[1:]), np.arange(p - 1))
+        rng = random.Random(1048573)
+        for k in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(997)]:
+            assert ind[pow(ctx.generator, k, p)] == k
 
     def test_bsgs_tiny_modulus(self):
         ctx = build_context(3, table_threshold=2)

@@ -121,6 +121,69 @@ class TestRouteEquality:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def _squarefull_terms(x):
+    return sum(
+        math.isqrt(x // b**3) for b in range(1, arith.icbrt(x) + 1) if arith.mobius(b) != 0
+    )
+
+
+def _squarefree_terms(x):
+    return sum(x // (d * d) for d in range(1, math.isqrt(x) + 1) if arith.mobius(d) != 0)
+
+
+def _prime_powerful_terms(x):
+    total = 0
+    for r in range(2, arith.icbrt(x) + 1):
+        if arith.is_prime(r):
+            qmax = math.isqrt(x // r**3)
+            total += sum(1 for q in range(2, qmax + 1) if arith.is_prime(q))
+    return total
+
+
+FACTORED_TERMS = (
+    (sum_char_squarefull, _squarefull_terms),
+    (sum_char_squarefree, _squarefree_terms),
+    (sum_char_prime_powerful, _prime_powerful_terms),
+)
+
+
+class TestFactoredTerms:
+    """terms_used of each factored sum against a scalar count of the inner
+    terms, on both discrete-log backends."""
+
+    def test_seeded_grid(self):
+        rng = random.Random(7)
+        ps = [int(p) for p in arith.sieve_primes(500)[1:]]
+        for _ in range(12):
+            p = rng.choice(ps)
+            x = rng.randrange(1, 30000)
+            for ctx in (build_context(p), build_context(p, table_threshold=2)):
+                chi = Character(ctx, rng.randrange(p - 1))
+                for fn, want in FACTORED_TERMS:
+                    assert fn(ctx, chi, x, "factored").terms_used == want(x), (fn, p, x)
+
+
+class TestLargeModulus:
+    """p = 1048573, just below the table threshold: the factored sums agree
+    with the direct ones for x on either side of p, and below p they build
+    no p-length character table."""
+
+    P = 1048573
+
+    @pytest.mark.parametrize("x", [300_000, 1_100_000])
+    def test_factored_equals_direct(self, x):
+        ctx = build_context(self.P)
+        chi = Character(ctx, random.Random(x).randrange(1, self.P - 1))
+        factored = {}
+        for fn, _ in FACTORED_TERMS:
+            factored[fn] = fn(ctx, chi, x, "factored").value
+        if x < self.P:
+            assert len(ctx._chi_tables) == 0
+        for fn, value in factored.items():
+            direct = fn(ctx, chi, x, "direct").value
+            assert abs(value - direct) <= 1e-9 * max(1.0, abs(direct)), fn
+
+
 class TestSymmetries:
     def test_conjugate_character_conjugates_sums(self):
         ctx = build_context(61)

@@ -300,6 +300,25 @@ def test_constants_bad_tolerance(capsys):
 # -- profile -----------------------------------------------------------------
 
 
+def test_commands_do_not_import_scipy_integrate():
+    # scipy.integrate costs about 0.3 s of import; no command needs it
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sfpr.cli import main\n"
+        "codes = []\n"
+        "for argv in (['verify', '--suite', 'all'],\n"
+        "             ['profile', '--target', 'thm31', '--p', '101', '--x-grid', '100:1000000:10']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps({'codes': codes, 'integrate': 'scipy.integrate' in sys.modules}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "integrate": False}
+
+
 def test_profile_csv(capsys):
     code, out, _ = run_cli(
         capsys, "profile", "--p", "7", "--target", "prop42", "--x-grid", "1e2:1e4:10"

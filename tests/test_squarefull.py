@@ -4,12 +4,13 @@ count formulas, and asymptotic sanity."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import squarefull
-from sfpr.arith import icbrt, mobius
+from sfpr.arith import icbrt, mobius, mobius_table
 
 SQUAREFULL_TO_100 = [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
 PRIME_POWERFUL_TO_1000 = [32, 72, 108, 200, 243, 392, 500, 675, 968]
@@ -107,6 +108,11 @@ class TestSquarefreeTable:
         x = 10**6
         want = sum(mobius(d) * (x // (d * d)) for d in range(1, 1001))
         assert int(squarefull.squarefree_table(x).sum()) == want
+
+    def test_matches_mobius_table(self):
+        for x in [*range(1, 2001), 10**6]:
+            want = mobius_table(x) != 0
+            assert np.array_equal(squarefull.squarefree_table(x), want), x
 
     def test_complement_of_squarefull_overlap(self):
         # 1 is both square-free and square-full; below 100 nothing else is
