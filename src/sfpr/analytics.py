@@ -54,11 +54,7 @@ import numpy as np
 from . import arith
 from .characters import PrimeContext, quadratic
 from .charsums import sum_char_squarefull
-from .counting import (
-    count_prime_powerful_pr,
-    count_squarefree_pr,
-    count_squarefull_pr,
-)
+from .counting import count_by_target
 
 __all__ = [
     "zeta",
@@ -335,7 +331,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
         raise ValueError("need x >= 1")
     p = ctx.p
     leading = _cp_closed(ctx) * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
-    exact = count_squarefull_pr(ctx, x, method="brute").brute_count
+    exact = count_by_target(ctx, x, "squarefull", method="brute").brute_count
     env = (
         x ** (1.0 / 3.0)
         * math.log(x)
@@ -402,7 +398,7 @@ def prime_powerful_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
         if arg >= 2.0:
             leading += li(arg)
     leading *= 2.0
-    exact = count_prime_powerful_pr(ctx, x, method="brute").brute_count
+    exact = count_by_target(ctx, x, "S", method="brute").brute_count
     env = 2.0 ** len(ctx.p1_primes) * x ** (1.0 / 3.0) * math.log(ctx.p * x) ** 2
     return _breakdown(ctx, x, "thm31", leading, 0.0, _pr_density(ctx), exact, env)
 
@@ -416,7 +412,7 @@ def squarefree_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
         raise ValueError("need x >= 1")
     p = ctx.p
     leading = p * arith.euler_phi(p - 1) / (p**2 - 1) * (6.0 / math.pi**2) * x
-    exact = count_squarefree_pr(ctx, x, method="brute").brute_count
+    exact = count_by_target(ctx, x, "squarefree", method="brute").brute_count
     return _breakdown(ctx, x, "prop42", leading, 0.0, 1.0, exact, math.sqrt(x))
 
 

@@ -5,10 +5,14 @@ context's fixed least primitive root g, chi_j(m) = exp(2 pi i j k / (p-1)), and
 chi_j(m) = 0 when p | m. j = 0 is the principal character, j = (p-1)/2 the
 quadratic one (it coincides with the Legendre symbol).
 
-Discrete logs come from a full lookup table for p up to the table threshold
-(default 2^20), filled in numpy blocks of about sqrt(p) consecutive powers of
-the generator, and from baby-step giant-step above it. Both backends are built
-lazily; a context stays lightweight until something asks for an index.
+Discrete logs come from one full lookup table, filled in numpy blocks of
+about sqrt(p) consecutive powers of the generator, for every p up to
+MAX_LOG_P = 2^22. The bound is a memory budget: a count at the largest prime
+below it holds the table, the primitive-root table and the family's FFT in
+well under 1 GB. Above it index_table raises ValueError, and the value and
+primitive-root tables fetch the index table before allocating their own. The
+table is built lazily; a context stays lightweight until something asks for
+an index.
 
 Per-character tables (values over all p residues and their prefix sums) are
 held in a least-recently-used cache of CHI_CACHE_SIZE entries per context, so
@@ -20,7 +24,6 @@ never evicts its own tables.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -35,11 +38,11 @@ __all__ = [
     "build_context",
     "char_eval",
     "characters_of_order",
-    "TABLE_THRESHOLD",
+    "MAX_LOG_P",
     "CHI_CACHE_SIZE",
 ]
 
-TABLE_THRESHOLD = 1 << 20
+MAX_LOG_P = 1 << 22
 CHI_CACHE_SIZE = 4
 
 
@@ -51,13 +54,9 @@ class PrimeContext:
     p: int
     generator: int
     p1_factorization: arith.Factorization
-    table_threshold: int = TABLE_THRESHOLD
     cache: dict = field(default_factory=dict, repr=False)
 
     _index_table: np.ndarray | None = field(default=None, repr=False)
-    _baby: dict | None = field(default=None, repr=False)
-    _giant_mul: int = field(default=0, repr=False)
-    _baby_span: int = field(default=0, repr=False)
     _roots: np.ndarray | None = field(default=None, repr=False)
     _chi_tables: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _qr_signs: np.ndarray | None = field(default=None, repr=False)
@@ -67,10 +66,6 @@ class PrimeContext:
     def p1_primes(self) -> tuple[int, ...]:
         return self.p1_factorization.primes
 
-    @property
-    def has_index_table(self) -> bool:
-        return self.p <= self.table_threshold
-
     # -- discrete logarithm -------------------------------------------------
 
     def index(self, m: int) -> int:
@@ -78,20 +73,19 @@ class PrimeContext:
         r = m % self.p
         if r == 0:
             raise ValueError("index undefined for multiples of p")
-        if self.has_index_table:
-            return int(self.index_table()[r])
-        return self._index_bsgs(r)
+        return int(self.index_table()[r])
 
     def index_table(self) -> np.ndarray:
-        """ind[r] = index(r) for residues r in [1, p-1], ind[0] = 0; table
-        backend only."""
-        if not self.has_index_table:
-            raise ValueError("index table requires the full-index backend")
+        """ind[r] = index(r) for residues r in [1, p-1], ind[0] = 0. Raises
+        ValueError for p > MAX_LOG_P before allocating anything."""
+        if self.p > MAX_LOG_P:
+            raise ValueError(
+                f"discrete logs need p <= MAX_LOG_P = {MAX_LOG_P} (1 GB budget), got {self.p}"
+            )
         if self._index_table is None:
             # blocks of span = isqrt(p-1)+1 consecutive powers: block i is
             # g^(i span) * (g^0 .. g^(span-1)) mod p, one numpy product each;
-            # the products stay below p^2 < 2^63 for any p whose table fits
-            # in memory
+            # the products stay below p^2 < 2^63
             p, g, n = self.p, self.generator, self.p - 1
             span = math.isqrt(n) + 1
             powers = np.empty(span, dtype=np.int64)
@@ -108,27 +102,6 @@ class PrimeContext:
                 lead = lead * v % p
             self._index_table = table
         return self._index_table
-
-    def _index_bsgs(self, r: int) -> int:
-        p, g = self.p, self.generator
-        if self._baby is None:
-            span = math.isqrt(p - 1) + 1
-            baby = {}
-            v = 1
-            for j in range(span):
-                baby.setdefault(v, j)
-                v = v * g % p
-            self._baby = baby
-            self._baby_span = span
-            self._giant_mul = pow(g, (p - 1) - span % (p - 1), p)
-        baby, span, shift = self._baby, self._baby_span, self._giant_mul
-        v = r
-        for i in range(span + 1):
-            j = baby.get(v)
-            if j is not None:
-                return (i * span + j) % (p - 1)
-            v = v * shift % p
-        raise ArithmeticError(f"bsgs missed {r} mod {p}")
 
     # -- cached tables ------------------------------------------------------
 
@@ -152,21 +125,19 @@ class PrimeContext:
         return table
 
     def chi_values(self, j: int) -> np.ndarray:
-        """Value table chi_j(r) for residues r in [0, p-1]; table backend only."""
-        if not self.has_index_table:
-            raise ValueError("value table requires the full-index backend")
+        """Value table chi_j(r) for residues r in [0, p-1]."""
         j %= self.p - 1
 
         def build():
+            ind = self.index_table()
             vals = np.zeros(self.p, dtype=np.complex128)
-            vals[1:] = self.roots_of_unity()[(j * self.index_table()[1:]) % (self.p - 1)]
+            vals[1:] = self.roots_of_unity()[(j * ind[1:]) % (self.p - 1)]
             return vals
 
         return self._chi_table(("values", j), build)
 
     def chi_prefix(self, j: int) -> np.ndarray:
-        """C[r] = sum_{m <= r} chi_j(m) over one period, r in [0, p-1]; table
-        backend only."""
+        """C[r] = sum_{m <= r} chi_j(m) over one period, r in [0, p-1]."""
         j %= self.p - 1
         return self._chi_table(("prefix", j), lambda: np.cumsum(self.chi_values(j)))
 
@@ -184,7 +155,7 @@ class PrimeContext:
         return self._qr_signs
 
     def is_pr_table(self) -> np.ndarray:
-        """Boolean table over residues: is a primitive root; table backend only."""
+        """Boolean table over residues: is a primitive root."""
         if self._is_pr is None:
             idx = self.index_table()
             n = self.p - 1
@@ -221,7 +192,7 @@ class Character:
         return char_eval(self, m)
 
 
-def build_context(p: int, table_threshold: int = TABLE_THRESHOLD) -> PrimeContext:
+def build_context(p: int) -> PrimeContext:
     """Context for an odd prime modulus, 3 <= p < 2^63."""
     if p < 3 or p >= 1 << 63:
         raise ValueError("modulus must be an odd prime in [3, 2^63)")
@@ -233,7 +204,6 @@ def build_context(p: int, table_threshold: int = TABLE_THRESHOLD) -> PrimeContex
         p=p,
         generator=arith.least_primitive_root(p, p1),
         p1_factorization=p1,
-        table_threshold=table_threshold,
     )
 
 
@@ -242,11 +212,7 @@ def char_eval(chi: Character, m: int) -> complex:
     r = m % ctx.p
     if r == 0:
         return 0j
-    if ctx.has_index_table:
-        return complex(ctx.chi_values(chi.j)[r])
-    n = ctx.p - 1
-    k = (chi.j * ctx.index(r)) % n
-    return cmath.exp(2j * cmath.pi * k / n)
+    return complex(ctx.chi_values(chi.j)[r])
 
 
 def characters_of_order(ctx: PrimeContext, d: int) -> list[Character]:

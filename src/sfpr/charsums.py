@@ -18,9 +18,9 @@ inner interval or prime sums at the matching bounds (_interval_values).
 Values are read from the discrete-log table as roots of unity, without a
 per-character table. Interval sums come from one prefix: over 1..max(x)
 when every bound is below p, otherwise over a single period, held in the
-context's bounded table cache and extended by periodicity. Contexts above
-the discrete-log table threshold evaluate each value by baby-step
-giant-step through char_eval, on the same route.
+context's bounded table cache and extended by periodicity. The direct
+routes read the per-character value table. Every route reads discrete logs,
+so every sum here raises ValueError for p > characters.MAX_LOG_P.
 """
 
 from __future__ import annotations
@@ -60,13 +60,21 @@ def _primes_cached(limit: int) -> np.ndarray:
     return arith.sieve_primes(limit)
 
 
+@functools.lru_cache(maxsize=4)
+def _mobius_cached(limit: int) -> np.ndarray:
+    """arith.mobius_table(limit), read-only: the factored square-free sums of
+    every character checked at one x share it."""
+    mu = arith.mobius_table(limit)
+    mu.flags.writeable = False
+    return mu
+
+
 def _values_at(chi: Character, ms: np.ndarray) -> np.ndarray:
     """chi(m) for every m in ms, 0 at multiples of p."""
     ctx = chi.ctx
-    if not ctx.has_index_table:
-        return np.array([char_eval(chi, int(m)) for m in ms], dtype=np.complex128)
+    ind = ctx.index_table()
     r = np.asarray(ms, dtype=np.int64) % ctx.p
-    vals = ctx.roots_of_unity()[ctx.index_table()[r] * chi.j % (ctx.p - 1)]
+    vals = ctx.roots_of_unity()[ind[r] * chi.j % (ctx.p - 1)]
     vals[r == 0] = 0
     return vals
 
@@ -76,7 +84,7 @@ def _interval_values(chi: Character, xs: np.ndarray) -> np.ndarray:
     ctx = chi.ctx
     xs = np.asarray(xs, dtype=np.int64)
     top = int(xs.max(initial=0))
-    if top >= ctx.p and ctx.has_index_table:
+    if top >= ctx.p:
         pre = ctx.chi_prefix(chi.j)
         q, r = np.divmod(xs, ctx.p)
         return q * pre[ctx.p - 1] + pre[r]
@@ -109,23 +117,18 @@ def _squarefull_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     p = ctx.p
     bmax = arith.icbrt(x)
     sf = squarefull.squarefree_table(bmax)
+    vals = ctx.chi_values(chi.j)
     total = 0j
     terms = 0
-    if ctx.has_index_table:
-        vals = ctx.chi_values(chi.j)
-        for b in range(1, bmax + 1):
-            if not sf[b]:
-                continue
-            cube = b * b * b
-            amax = math.isqrt(x // cube)
-            a = np.arange(1, amax + 1, dtype=np.int64)
-            res = (a * a % p) * (cube % p) % p
-            total += complex(vals[res].sum())
-            terms += amax
-    else:
-        for m in squarefull.enumerate_squarefull(x):
-            total += char_eval(chi, m)
-            terms += 1
+    for b in range(1, bmax + 1):
+        if not sf[b]:
+            continue
+        cube = b * b * b
+        amax = math.isqrt(x // cube)
+        a = np.arange(1, amax + 1, dtype=np.int64)
+        res = (a * a % p) * (cube % p) % p
+        total += complex(vals[res].sum())
+        terms += amax
     return SumResult(total, terms, "direct")
 
 
@@ -154,16 +157,12 @@ def sum_char_squarefree(
 def _squarefree_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     sf = squarefull.squarefree_table(x)
     members = np.flatnonzero(sf)
-    if ctx.has_index_table:
-        vals = ctx.chi_values(chi.j)
-        total = complex(vals[members % ctx.p].sum())
-    else:
-        total = sum(char_eval(chi, int(m)) for m in members)
+    total = complex(ctx.chi_values(chi.j)[members % ctx.p].sum())
     return SumResult(total, len(members), "direct")
 
 
 def _squarefree_factored(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    mu = arith.mobius_table(math.isqrt(x))
+    mu = _mobius_cached(math.isqrt(x))
     d = np.flatnonzero(mu)
     inner_x = x // (d * d)
     total = np.dot(mu[d] * _values_at(chi, d * d), _interval_values(chi, inner_x))
@@ -178,11 +177,7 @@ def sum_char_primes(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     if x < 2:
         raise ValueError("need x >= 2")
     primes = _primes_cached(x)
-    if ctx.has_index_table:
-        vals = ctx.chi_values(chi.j)
-        total = complex(vals[primes % ctx.p].sum())
-    else:
-        total = sum(char_eval(chi, int(q)) for q in primes)
+    total = complex(ctx.chi_values(chi.j)[primes % ctx.p].sum())
     return SumResult(total, len(primes), "primes")
 
 

@@ -21,6 +21,7 @@ from .analytics import constants_report, main_term_by_target
 from .characters import build_context
 from .counting import (
     CSV_HEADER,
+    FAMILIES,
     count_by_target,
     hypothesis_scan,
     scan_range,
@@ -172,7 +173,7 @@ def build_parser() -> _Parser:
     sp = add("count", cmd_count, help="count primitive roots in a family up to x")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--target", choices=["squarefull", "S", "squarefree"], default="squarefull")
+    sp.add_argument("--target", choices=list(FAMILIES), default="squarefull")
     sp.add_argument("--method", choices=["brute", "charsum", "both"], default="both")
     sp.add_argument("--tolerance", type=float, default=1e-6)
 

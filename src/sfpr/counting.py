@@ -17,6 +17,9 @@ once. The square-free and square-full histograms come from periodicity mod p
 without visiting the members (O(sqrt(x p)) and O(sqrt(x)) entries); the q^2 r^3
 family, O(sqrt(x)) members, is enumerated. Memory is O(p) beyond the sieve
 tables of sqrt(x) and x^(1/3) entries, and the transform is O(p log p).
+Both routes below read the discrete-log table, so count_by_target fetches it
+first: p > characters.MAX_LOG_P is refused before anything of length p or x
+is allocated.
 
 Two independent routes keep every count an executable identity. The brute
 route enumerates the members and looks each one up in the primitive-root
@@ -82,9 +85,8 @@ __all__ = [
     "pr_decomposition",
     "pr_indicator_charsum",
     "family_charsums",
-    "count_squarefull_pr",
-    "count_prime_powerful_pr",
-    "count_squarefree_pr",
+    "FAMILIES",
+    "count_by_target",
     "least_squarefull_pr",
     "least_squarefree_pr",
     "scan_range",
@@ -232,10 +234,11 @@ def _prime_powerful_histogram(p: int, x: int) -> np.ndarray:
     return np.bincount(residues, minlength=p)
 
 
-# target -> (member residues, residue histogram, factored character sum); plain
-# tuples, because perfbench's tracer swaps wrapped functions into module-level
-# tuples by rebuilding them as tuples
-_FAMILIES = {
+# target -> (member residues, residue histogram, character sum with a direct
+# and a factored route); the one registry of target families, read by verify
+# and the CLI too. Plain tuples, because perfbench's tracer swaps wrapped
+# functions into module-level tuples by rebuilding them as tuples
+FAMILIES = {
     "squarefull": (_squarefull_residues, _squarefull_histogram, sum_char_squarefull),
     "S": (_prime_powerful_residues, _prime_powerful_histogram, sum_char_prime_powerful),
     "squarefree": (_squarefree_residues, _squarefree_histogram, sum_char_squarefree),
@@ -244,7 +247,7 @@ _FAMILIES = {
 
 def _family(target: str) -> tuple:
     try:
-        return _FAMILIES[target]
+        return FAMILIES[target]
     except KeyError:
         raise ValueError(f"unknown target {target!r}") from None
 
@@ -254,17 +257,11 @@ def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
     j in [0, p-2]: the DFT of the histogram of their discrete logs."""
     if x < 1:
         raise ValueError("need x >= 1")
-    p, n = ctx.p, ctx.p - 1
-    if p > arith.MAX_INT64_MODULUS:
-        raise ValueError(f"charsum route needs p <= {arith.MAX_INT64_MODULUS}")
-    h = _family(target)[1](p, x)
-    if ctx.has_index_table:
-        hist = np.zeros(n)
-        hist[ctx.index_table()[1:]] = h[1:]
-    else:
-        rs = np.flatnonzero(h[1:]) + 1
-        logs = np.array([ctx.index(int(r)) for r in rs], dtype=np.int64)
-        hist = np.bincount(logs, weights=h[rs], minlength=n)
+    # the table first: it refuses p > MAX_LOG_P before the histogram is built
+    ind = ctx.index_table()
+    h = _family(target)[1](ctx.p, x)
+    hist = np.zeros(ctx.p - 1)
+    hist[ind[1:]] = h[1:]
     # unnormalised inverse transform: S[j] = sum_k hist[k] e^{2 pi i jk/n}
     return np.fft.ifft(hist, norm="forward")
 
@@ -303,23 +300,20 @@ def _charsum_count(ctx: PrimeContext, x: int, target: str) -> tuple[float, int]:
 
 
 def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
-    total = 0
-    for residues in _family(target)[0](ctx.p, x):
-        if ctx.has_index_table:
-            total += int(np.count_nonzero(ctx.is_pr_table()[residues]))
-        else:
-            distinct, mult = np.unique(residues, return_counts=True)
-            total += sum(
-                int(c) for r, c in zip(distinct, mult) if arith.is_primitive_root(int(r), ctx)
-            )
-    return total
+    is_pr = ctx.is_pr_table()
+    return sum(int(np.count_nonzero(is_pr[r])) for r in _family(target)[0](ctx.p, x))
 
 
-def _count(ctx: PrimeContext, x: int, target: str, method: str) -> CountReport:
+def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:
+    """Primitive roots <= x in the target family of FAMILIES: "squarefull",
+    "S" (q^2 r^3, q and r prime) or "squarefree", by the brute route, the
+    charsum route or both. Both routes read discrete logs, so p >
+    MAX_LOG_P is refused before anything of length p or x is allocated."""
     if x < 1:
         raise ValueError("need x >= 1")
     if method not in ("brute", "charsum", "both"):
         raise ValueError(f"unknown method {method!r}")
+    ctx.index_table()
     brute = charsum = residual = None
     tb = tc = None
     chars = 0
@@ -334,25 +328,6 @@ def _count(ctx: PrimeContext, x: int, target: str, method: str) -> CountReport:
     if brute is not None and charsum is not None:
         residual = abs(charsum - brute)
     return CountReport(ctx.p, x, target, method, brute, charsum, residual, chars, tb, tc)
-
-
-def count_squarefull_pr(ctx: PrimeContext, x: int, method: str = "both") -> CountReport:
-    """Square-full primitive roots <= x."""
-    return _count(ctx, x, "squarefull", method)
-
-
-def count_prime_powerful_pr(ctx: PrimeContext, x: int, method: str = "both") -> CountReport:
-    """Primitive roots <= x of the shape q^2 r^3, q and r prime."""
-    return _count(ctx, x, "S", method)
-
-
-def count_squarefree_pr(ctx: PrimeContext, x: int, method: str = "both") -> CountReport:
-    """Square-free primitive roots <= x."""
-    return _count(ctx, x, "squarefree", method)
-
-
-def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:
-    return _count(ctx, x, target, method)
 
 
 # -- least elements ---------------------------------------------------------

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import arith
 from .characters import Character, build_context
-from .charsums import (
-    sum_char_prime_powerful,
-    sum_char_squarefree,
-    sum_char_squarefull,
-)
-from .counting import count_by_target
+from .counting import FAMILIES, count_by_target
 from .analytics import (
     compute_Cp,
     corollary_constants,
@@ -32,12 +27,6 @@ __all__ = ["run_identity_suite", "run_character_suite", "run_constants_suite", "
 
 _IDENTITY_PRIMES = tuple(int(p) for p in arith.sieve_primes(199)[1:])
 _IDENTITY_XS = (10**2, 10**3, 10**4)
-_FAMILIES = ("squarefull", "S", "squarefree")
-_ROUTE_SUMS = {
-    "squarefull": sum_char_squarefull,
-    "S": sum_char_prime_powerful,
-    "squarefree": sum_char_squarefree,
-}
 
 
 def run_identity_suite(seed: int = 20250822, progress=None) -> dict:
@@ -46,11 +35,11 @@ def run_identity_suite(seed: int = 20250822, progress=None) -> dict:
     factored-vs-direct cases per family (relative 1e-9)."""
     cases = failures = 0
     max_residual = 0.0
-    total = len(_IDENTITY_PRIMES) * len(_IDENTITY_XS) * len(_FAMILIES)
+    total = len(_IDENTITY_PRIMES) * len(_IDENTITY_XS) * len(FAMILIES)
     for p in _IDENTITY_PRIMES:
         ctx = build_context(p)
         for x in _IDENTITY_XS:
-            for family in _FAMILIES:
+            for family in FAMILIES:
                 rep = count_by_target(ctx, x, family)
                 cases += 1
                 max_residual = max(max_residual, rep.residual)
@@ -66,8 +55,7 @@ def run_identity_suite(seed: int = 20250822, progress=None) -> dict:
         j = rng.randrange(p - 1)
         chi = Character(ctx, j)
         x = rng.randrange(1, 10**6 + 1)
-        for family in _FAMILIES:
-            fn = _ROUTE_SUMS[family]
+        for _, _, fn in FAMILIES.values():
             direct = fn(ctx, chi, x, route="direct").value
             factored = fn(ctx, chi, x, route="factored").value
             rel = abs(factored - direct) / max(1.0, abs(direct))

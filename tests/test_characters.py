@@ -1,5 +1,5 @@
-"""Character representation checks: index backends, value tables, order
-classes, orthogonality."""
+"""Character representation checks: the discrete-log table and its bound,
+value tables, order classes, orthogonality."""
 
 import cmath
 import math
@@ -20,6 +20,15 @@ def brute_order(a, p):
         x = x * a % p
         k += 1
     return k
+
+
+def brute_logs(g, p):
+    """{g^k mod p: k} by repeated multiplication, independent of the table."""
+    logs, v = {}, 1
+    for k in range(p - 1):
+        logs[v] = k
+        v = v * g % p
+    return logs
 
 
 class TestContext:
@@ -64,12 +73,12 @@ class TestContext:
         with pytest.raises(ValueError):
             ctx.index(14)
 
-    def test_bsgs_matches_table(self):
-        full = build_context(1009)
-        small = build_context(1009, table_threshold=2)
-        assert not small.has_index_table
-        for m in list(range(1, 60)) + [500, 777, 1008]:
-            assert small.index(m) == full.index(m)
+    @pytest.mark.parametrize("p", [3, 101, 211, 1009])
+    def test_index_matches_powers(self, p):
+        ctx = build_context(p)
+        for k in range(p - 1):
+            assert ctx.index(pow(ctx.generator, k, p)) == k
+            assert ctx.index(pow(ctx.generator, k, p) + 7 * p) == k
 
     def test_index_table_permutation_small_primes(self):
         for p in arith.sieve_primes(4999)[1:]:
@@ -93,10 +102,20 @@ class TestContext:
         for k in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(997)]:
             assert ind[pow(ctx.generator, k, p)] == k
 
-    def test_bsgs_tiny_modulus(self):
-        ctx = build_context(3, table_threshold=2)
+    def test_index_tiny_modulus(self):
+        ctx = build_context(3)
         assert ctx.index(1) == 0
         assert ctx.index(2) == 1
+
+    def test_index_table_refused_past_max_log_p(self):
+        # 4194319 is the first prime past 2^22
+        ctx = build_context(4194319)
+        assert ctx.p > characters.MAX_LOG_P
+        for read in (ctx.index_table, lambda: ctx.index(2), ctx.is_pr_table,
+                     lambda: ctx.chi_values(1), lambda: char_eval(Character(ctx, 1), 2)):
+            with pytest.raises(ValueError, match=f"MAX_LOG_P = {characters.MAX_LOG_P}"):
+                read()
+        assert ctx._index_table is None and ctx._roots is None and not ctx._chi_tables
 
     def test_is_pr_table(self):
         ctx = build_context(13)
@@ -156,14 +175,18 @@ class TestCharacterValues:
             for m in (2, 17, 23):
                 assert char_eval(bar, m) == pytest.approx(char_eval(chi, m).conjugate())
 
-    def test_bsgs_eval_matches_table_eval(self):
-        full = build_context(101)
-        small = build_context(101, table_threshold=2)
-        for j in (1, 7, 50):
-            for m in (2, 3, 55, 100):
-                assert char_eval(Character(small, j), m) == pytest.approx(
-                    char_eval(Character(full, j), m)
-                )
+    @pytest.mark.parametrize("p", [3, 101, 211, 1009])
+    def test_eval_matches_power_oracle(self, p):
+        ctx = build_context(p)
+        logs = brute_logs(ctx.generator, p)
+        for j in sorted({1, 7 % (p - 1), (p - 1) // 2, p - 2}):
+            for m in sorted({2, 3, 55, p - 1, p + 2, 2 * p}):
+                want = cmath.exp(2j * cmath.pi * j * logs[m % p] / (p - 1)) if m % p else 0
+                assert char_eval(Character(ctx, j), m) == pytest.approx(want, abs=1e-12)
+        chi2 = characters.quadratic(ctx)
+        for m in range(1, p):
+            euler = 1 if pow(m, (p - 1) // 2, p) == 1 else -1
+            assert char_eval(chi2, m) == pytest.approx(euler, abs=1e-12)
 
     def test_table_cache_bounded(self):
         ctx = build_context(101)

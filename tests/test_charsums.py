@@ -24,6 +24,17 @@ def brute_interval(ctx, chi, x):
     return sum(chi(m) for m in range(1, x + 1))
 
 
+def power_oracle(ctx, j, ms):
+    """sum of chi_j(m) over ms, the logs found by repeated multiplication of
+    the generator, independent of the discrete-log table."""
+    p, n = ctx.p, ctx.p - 1
+    logs, v = {}, 1
+    for k in range(n):
+        logs[v] = k
+        v = v * ctx.generator % p
+    return sum(np.exp(2j * np.pi * j * logs[m % p] / n) for m in ms if m % p)
+
+
 class TestInterval:
     def test_principal_counts_coprime(self):
         ctx = build_context(7)
@@ -44,14 +55,12 @@ class TestInterval:
                 want = brute_interval(ctx, chi, x)
                 assert sum_char_interval(ctx, chi, x).value == pytest.approx(want, abs=1e-9)
 
-    def test_bsgs_backend_matches(self):
-        full = build_context(101)
-        slow = build_context(101, table_threshold=2)
+    def test_matches_power_oracle(self):
+        ctx = build_context(101)
         for j in (1, 50):
             for x in (10, 101, 250):
-                a = sum_char_interval(full, Character(full, j), x).value
-                b = sum_char_interval(slow, Character(slow, j), x).value
-                assert a == pytest.approx(b, abs=1e-9)
+                got = sum_char_interval(ctx, Character(ctx, j), x).value
+                assert got == pytest.approx(power_oracle(ctx, j, range(1, x + 1)), abs=1e-9)
 
     def test_bound_by_terms(self):
         ctx = build_context(13)
@@ -113,12 +122,14 @@ class TestRouteEquality:
             f = sum_char_prime_powerful(ctx, chi, x, "factored").value
             assert e == pytest.approx(f, abs=1e-9)
 
-    def test_bsgs_route_equality(self):
-        ctx = build_context(211, table_threshold=2)
+    def test_routes_match_power_oracle(self):
+        ctx = build_context(211)
         chi = Character(ctx, 5)
+        want = power_oracle(ctx, 5, squarefull.enumerate_squarefull(3000))
         a = sum_char_squarefull(ctx, chi, 3000, "direct").value
         b = sum_char_squarefull(ctx, chi, 3000, "factored").value
-        assert a == pytest.approx(b, abs=1e-9)
+        assert a == pytest.approx(want, abs=1e-9)
+        assert b == pytest.approx(want, abs=1e-9)
 
 
 def _squarefull_terms(x):
@@ -149,7 +160,7 @@ FACTORED_TERMS = (
 
 class TestFactoredTerms:
     """terms_used of each factored sum against a scalar count of the inner
-    terms, on both discrete-log backends."""
+    terms, for two seeded characters per modulus."""
 
     def test_seeded_grid(self):
         rng = random.Random(7)
@@ -157,14 +168,15 @@ class TestFactoredTerms:
         for _ in range(12):
             p = rng.choice(ps)
             x = rng.randrange(1, 30000)
-            for ctx in (build_context(p), build_context(p, table_threshold=2)):
+            ctx = build_context(p)
+            for _ in range(2):
                 chi = Character(ctx, rng.randrange(p - 1))
                 for fn, want in FACTORED_TERMS:
                     assert fn(ctx, chi, x, "factored").terms_used == want(x), (fn, p, x)
 
 
 class TestLargeModulus:
-    """p = 1048573, just below the table threshold: the factored sums agree
+    """p = 1048573, the largest prime below 2^20: the factored sums agree
     with the direct ones for x on either side of p, and below p they build
     no p-length character table."""
 

@@ -11,6 +11,7 @@ import pytest
 
 import sfpr
 from sfpr import arith
+from sfpr.characters import MAX_LOG_P
 from sfpr.cli import _default_jobs, _parse_grid, main
 
 
@@ -109,15 +110,29 @@ def test_count_tolerance_exceeded(capsys):
     assert "tolerance" in err
 
 
+def _euler_pr_count(p, x, target):
+    """Square-full or square-free m <= x that are primitive roots mod p, by
+    Euler's criterion at every prime q | p - 1."""
+    qs = arith.factorize(p - 1).primes
+    count = 0
+    for m in range(2, x + 1):
+        exps = [e for _, e in arith.factorize(m).factors]
+        if (min(exps) >= 2) if target == "squarefull" else (max(exps) == 1):
+            count += all(pow(m, (p - 1) // q, p) != 1 for q in qs)
+    return count
+
+
 # Moduli with 100 002, 58 254 and 263 010 characters of square-free order,
-# the last above the index-table threshold (baby-step giant-step logs): the
-# charsum count must not grow with the number of characters.
+# the last two above 2^20 and read from the same discrete-log table as the
+# rest: the charsum count must not grow with the number of characters.
 @pytest.mark.parametrize(
     "argv",
     [
         ("--p", "100003", "--x", "100000"),
         ("--p", "1048573", "--x", "1000000"),
         ("--p", "1052041", "--x", "100", "--method", "charsum"),
+        ("--p", "1052041", "--x", "10000", "--target", "squarefree", "--method", "charsum"),
+        ("--p", "1052041", "--x", "1000000"),
     ],
 )
 def test_count_large_modulus_budget(tmp_path, argv):
@@ -128,8 +143,26 @@ def test_count_large_modulus_budget(tmp_path, argv):
     if rep["residual"] is not None:
         assert rep["residual"] <= 1e-6 * rep["characters_used"]
     else:
-        assert rep["charsum_value"] == pytest.approx(0.0, abs=1e-6)  # no square-full PR <= 100
+        want = _euler_pr_count(rep["p"], rep["x"], rep["target"])
+        assert rep["charsum_value"] == pytest.approx(want, abs=1e-6)
     assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
+def test_count_past_max_log_p_fails_fast(tmp_path):
+    # 4194319 is the first prime past MAX_LOG_P = 2^22; least reads no
+    # discrete logs and still answers there
+    assert MAX_LOG_P == 1 << 22
+    for method in ("both", "brute", "charsum"):
+        argv = ["count", "--p", "4194319", "--x", "100", "--method", method]
+        code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=5)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("sfpr: error: ") and f"MAX_LOG_P = {MAX_LOG_P}" in err
+    code, out, err, _, _ = run_measured(tmp_path, ["least", "--p", "4194319"], timeout=60)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("4194319,")
 
 
 # Large x, small p: the charsum route reads the family's residue histogram,

@@ -25,9 +25,6 @@ from sfpr.counting import (
     CSV_HEADER,
     HypothesisReport,
     count_by_target,
-    count_prime_powerful_pr,
-    count_squarefree_pr,
-    count_squarefull_pr,
     family_charsums,
     hypothesis_scan,
     least_squarefree_pr,
@@ -48,6 +45,14 @@ def oracle_order(a, p):
         v = v * a % p
         k += 1
     return k
+
+
+def oracle_logs(g, p):
+    logs, v = {}, 1
+    for k in range(p - 1):
+        logs[v] = k
+        v = v * g % p
+    return logs
 
 
 def oracle_is_squarefull(n):
@@ -141,24 +146,24 @@ def test_pr_decomposition_weights_by_order():
 
 def test_count_squarefull_frozen():
     ctx = build_context(7)
-    r = count_squarefull_pr(ctx, 108)
+    r = count_by_target(ctx, 108, "squarefull")
     assert r.brute_count == 1
     assert r.charsum_value == pytest.approx(1.0, abs=1e-9)
     assert r.residual < 1e-9
-    assert count_squarefull_pr(ctx, 100).brute_count == 0
-    assert count_squarefull_pr(build_context(3), 8).brute_count == 1
+    assert count_by_target(ctx, 100, "squarefull").brute_count == 0
+    assert count_by_target(build_context(3), 8, "squarefull").brute_count == 1
 
 
 def test_count_prime_powerful_frozen():
-    assert count_prime_powerful_pr(build_context(7), 108).brute_count == 1
-    r = count_prime_powerful_pr(build_context(5), 32)
+    assert count_by_target(build_context(7), 108, "S").brute_count == 1
+    r = count_by_target(build_context(5), 32, "S")
     assert r.brute_count == 1
     assert r.residual < 1e-9
 
 
 def test_count_squarefree_frozen():
-    assert count_squarefree_pr(build_context(7), 10).brute_count == 3
-    r = count_squarefree_pr(build_context(5), 3)
+    assert count_by_target(build_context(7), 10, "squarefree").brute_count == 3
+    r = count_by_target(build_context(5), 3, "squarefree")
     assert r.brute_count == 2
     assert r.residual < 1e-9
 
@@ -171,7 +176,7 @@ def test_count_brute_matches_filter_oracle():
         for m in range(1, x + 1)
         if oracle_is_squarefull(m) and m % 11 and oracle_order(m, 11) == 10
     )
-    assert count_squarefull_pr(ctx, x, method="brute").brute_count == sf_pr
+    assert count_by_target(ctx, x, "squarefull", method="brute").brute_count == sf_pr
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -210,21 +215,25 @@ def test_family_histogram_counts_members(monkeypatch, run_chunk, p, target):
     monkeypatch.setattr(counting, "_RUN_CHUNK", run_chunk)
     for x in (1, 2, 100, 10**4):
         want = np.bincount([m % p for m in oracle_members(target, x)], minlength=p)
-        assert np.array_equal(counting._FAMILIES[target][1](p, x), want), x
+        assert np.array_equal(counting.FAMILIES[target][1](p, x), want), x
 
 
-def test_family_charsums_nontable_backend():
-    small = build_context(211)
-    big = build_context(211, table_threshold=2)
+def test_family_charsums_match_power_oracle():
+    # every S[j] at p = 211 from the members' logs, found by repeated
+    # multiplication of the generator rather than from the table
+    ctx = build_context(211)
+    logs = oracle_logs(ctx.generator, 211)
+    js = np.arange(210)
     for target in ("squarefull", "S", "squarefree"):
-        a, b = family_charsums(small, 5000, target), family_charsums(big, 5000, target)
-        assert np.allclose(a, b, rtol=0, atol=1e-9)
+        ks = np.array([logs[m % 211] for m in oracle_members(target, 5000) if m % 211])
+        want = np.exp(2j * np.pi * np.outer(js, ks) / 210).sum(axis=1)
+        assert np.allclose(family_charsums(ctx, 5000, target), want, rtol=0, atol=1e-9)
 
 
 def test_family_charsums_rejects_modulus_past_int64_products():
     # residues k * step mod p need k * step < 2^63; the first prime past
     # isqrt(2^63 - 1) is refused before any p-length table is allocated
-    with pytest.raises(ValueError, match="charsum route needs p"):
+    with pytest.raises(ValueError, match="MAX_LOG_P"):
         family_charsums(build_context(3037000507), 100, "S")
 
 
@@ -239,7 +248,7 @@ def test_charsum_check_rejects_wrong_spectrum(monkeypatch):
 
     monkeypatch.setattr(counting, "family_charsums", off_by_one)
     with pytest.raises(ArithmeticError, match="chi_0"):
-        count_squarefull_pr(ctx, 10**4, method="charsum")
+        count_by_target(ctx, 10**4, "squarefull", method="charsum")
 
 
 def test_checked_characters_fixed_sample():
@@ -252,32 +261,30 @@ def test_checked_characters_fixed_sample():
 
 def test_count_single_method_fields():
     ctx = build_context(13)
-    r = count_squarefull_pr(ctx, 1000, method="charsum")
+    r = count_by_target(ctx, 1000, "squarefull", method="charsum")
     assert r.brute_count is None and r.residual is None
     assert r.elapsed_charsum is not None and r.elapsed_brute is None
-    r = count_squarefull_pr(ctx, 1000, method="brute")
+    r = count_by_target(ctx, 1000, "squarefull", method="brute")
     assert r.charsum_value is None and r.elapsed_charsum is None
 
 
 def test_count_rejects():
     ctx = build_context(7)
     with pytest.raises(ValueError):
-        count_squarefull_pr(ctx, 0)
+        count_by_target(ctx, 0, "squarefull")
     with pytest.raises(ValueError):
         count_by_target(ctx, 10, "powerful")
     with pytest.raises(ValueError):
-        count_squarefull_pr(ctx, 10, method="fast")
+        count_by_target(ctx, 10, "squarefull", method="fast")
 
 
-def test_count_nontable_backend_agrees():
-    small = build_context(211)
-    big = build_context(211, table_threshold=2)
-    assert not big.has_index_table
+def test_count_matches_order_oracle_p211():
+    ctx = build_context(211)
     for target in ("squarefull", "S", "squarefree"):
-        a = count_by_target(small, 2000, target)
-        b = count_by_target(big, 2000, target)
-        assert a.brute_count == b.brute_count
-        assert a.charsum_value == pytest.approx(b.charsum_value, abs=1e-9)
+        want = sum(1 for m in oracle_members(target, 2000) if m % 211 and oracle_order(m, 211) == 210)
+        r = count_by_target(ctx, 2000, target)
+        assert r.brute_count == want
+        assert r.charsum_value == pytest.approx(want, abs=1e-9)
 
 
 # -- least elements ---------------------------------------------------------
