@@ -17,15 +17,19 @@ is evaluated by two independent routes that must agree.
       L(3/2) = sum chi2(n) n^{-3/2} Q(a1, pi n^2/p)
              + (pi/p) / Gamma(a1) * sum chi2(n) n^{1/2} Gamma(a2, pi n^2/p),
 
-  a1 = (3/2 + delta)/2, a2 = (delta - 1/2)/2, Q the regularized upper
-  incomplete gamma. Terms decay like exp(-pi n^2/p), so about 3 sqrt(p)
-  of them reach machine precision. The tail certificate comes from
-  Gamma(a, x) <= x^{a-1} e^{-x} (1 + max(a-1, 0)/x) for a <= 2: the
-  bounds on the terms fall at least geometrically, and tests assert the
-  certificate, not just the value.
+  a1 = (3/2 + delta)/2, a2 = a1 - 1, Q(a, x) = Gamma(a, x)/Gamma(a) the
+  regularized upper incomplete gamma. Terms decay like exp(-pi n^2/p), so
+  about 3 sqrt(p) of them reach machine precision. The tail certificate
+  comes from Gamma(a, x) <= x^{a-1} e^{-x} (1 + max(a-1, 0)/x) for a <= 2:
+  the bounds on the terms fall at least geometrically, and tests assert the
+  certificate, not just the value. Gamma(a, x) comes from its power series
+  below x = 1.5 and from Legendre's continued fraction above (Gautschi,
+  ACM TOMS 5, 1979), in numpy.
 - Direct: group the non-residues by class mod p,
   C_p = 2 p^{-3/2} sum_{a nonres mod p} zeta(3/2, a/p), a finite sum of
-  (p-1)/2 positive Hurwitz zeta values with no truncation.
+  (p-1)/2 positive Hurwitz zeta values. Each value comes from the
+  Euler-Maclaurin formula (Johansson, Numer. Algorithms 69, 2015) with a
+  certified remainder, reported as the route's tail bound.
 
 Writing n = k^2 m with m square-free (p never divides a non-residue, so
 p | k is excluded) gives
@@ -47,9 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# scipy is imported inside the functions that use it: it takes about 0.5 s
-# to import, and every sfpr command loads this module.
 
 from . import arith
 from .characters import PrimeContext, quadratic
@@ -110,14 +111,50 @@ class SeriesValue:
     terms: int
 
 
-def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) for a > -1; a <= 0 by one step of the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a."""
-    from scipy import special
+# Gamma(a, x) switches from the power series to the continued fraction at
+# x = 1.5: the series loses digits to the cancellation Gamma(a) - gamma(a, x)
+# as x grows (Gamma(1/4) is 30 times Gamma(1/4, 1.5)), the fraction
+# converges more slowly as x falls, and 48 levels started from the tail's
+# fixed point reach the rounding floor at x = 1.5. A switch at x = 1 with
+# 72 levels gives 4e-15 at a = 1/4 instead of 1e-14, but made the C_p sweep
+# to 1e5 about 25% slower: each level is two numpy calls on short arrays.
+_GAMMA_SWITCH = 1.5
+_GAMMA_SERIES_TERMS = 32
+_GAMMA_CF_DEPTH = 48
+# Gamma(a) correctly rounded (mpmath at 40 digits); math.gamma is up to 1.8
+# ulp off at these points, which would shift every term of L(3/2, chi2)
+_GAMMA_QUARTERS = {0.25: 3.625609908221908, 0.75: 1.2254167024651776, 1.25: 0.906402477055477}
 
-    if a > 0:
-        return special.gammaincc(a, x) * special.gamma(a)
-    return (_upper_gamma(a + 1.0, x) - x**a * np.exp(-x)) / a
+
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for a in {1/4, 3/4, 5/4} and x > 0, to about 1e-14
+    relative at a = 1/4 and 3e-15 at a = 3/4 and 5/4.
+
+    Below _GAMMA_SWITCH: Gamma(a) minus the lower function
+    gamma(a, x) = x^a e^{-x} sum_{k >= 0} x^k / (a (a+1) ... (a+k)), whose
+    first 32 terms are one matrix product. From _GAMMA_SWITCH on, Legendre's
+    continued fraction
+
+        Gamma(a, x) = x^a e^{-x} / (x+1-a - t_1),
+        t_k = k(k-a) / (x+2k+1-a - t_{k+1}),
+
+    evaluated backward from a fixed depth (Gautschi, ACM TOMS 5, 1979). The
+    start is the root of t (x+2k-a - t) = k(k-a), the fixed point of the
+    recurrence when t_{k+1} = t_k + 1; it leaves about a fortieth of the
+    truncation error of a start at t = 0."""
+    out = np.empty_like(x)
+    low = x < _GAMMA_SWITCH
+    xl, xh = x[low], x[~low]
+    coef = 1.0 / np.cumprod(a + np.arange(_GAMMA_SERIES_TERMS))
+    series = np.vander(xl, _GAMMA_SERIES_TERMS, increasing=True) @ coef
+    out[low] = _GAMMA_QUARTERS[a] - xl**a * np.exp(-xl) * series
+    k = _GAMMA_CF_DEPTH + 1.0
+    frac = (xh + (2.0 * k - a) - np.sqrt((xh - a) ** 2 + 4.0 * k * xh)) / 2.0
+    k = np.arange(_GAMMA_CF_DEPTH, 0, -1, dtype=np.float64)
+    for num, den in zip((k * (k - a)).tolist(), xh + (2.0 * k + 1.0 - a)[:, None]):
+        frac = num / (den - frac)
+    out[~low] = xh**a * np.exp(-xh) / (xh + (1.0 - a) - frac)
+    return out
 
 
 def _upper_gamma_bound(a: float, x: np.ndarray) -> np.ndarray:
@@ -128,14 +165,13 @@ def _upper_gamma_bound(a: float, x: np.ndarray) -> np.ndarray:
 def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
     """L(3/2, chi2) by the theta-function functional equation, truncated
     at the first n where the certified tail drops to tol or below."""
-    from scipy import special
-
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     p = ctx.p
     delta = p % 4 == 3
-    a1, a2 = (1.5 + delta) / 2.0, (delta - 0.5) / 2.0
-    g1 = math.gamma(a1)
+    a1 = (1.5 + delta) / 2.0
+    a2 = a1 - 1.0
+    g1 = _GAMMA_QUARTERS[a1]
     dual = math.pi / p / g1  # (p/pi)^{-1} Gamma(a2)/Gamma(a1) Q(a2, x) = dual Gamma(a2, x)
     # At n_max, pi n^2/p is log(1/tol) + 40: far past the first n whose tail
     # bound reaches tol.
@@ -155,8 +191,17 @@ def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
     terms = int(fits[0]) + 1
     n, x = n[:terms], x[:terms]
     chi = ctx.qr_signs()[np.arange(1, terms + 1) % p].astype(np.float64)
-    value = float(np.dot(chi, n**-1.5 * special.gammaincc(a1, x)))
-    value += dual * float(np.dot(chi, np.sqrt(n) * _upper_gamma(a2, x)))
+    # one incomplete gamma gives both: Gamma(a1, x) = a2 Gamma(a2, x) + x^a2 e^{-x},
+    # taken upward from a2 = 1/4, or downward to a2 = -1/4 as the reverse step
+    power = x**a2 * np.exp(-x)
+    if delta:
+        gamma2 = _upper_gamma(a2, x)
+        gamma1 = a2 * gamma2 + power
+    else:
+        gamma1 = _upper_gamma(a1, x)
+        gamma2 = (gamma1 - power) / a2
+    value = float(np.dot(chi, n**-1.5 * (gamma1 / g1)))
+    value += dual * float(np.dot(chi, np.sqrt(n) * gamma2))
     return SeriesValue(value, float(tails[terms - 1]), terms)
 
 
@@ -176,14 +221,56 @@ class CpReport:
         return self.closed
 
 
-def _cp_direct(ctx: PrimeContext) -> tuple[float, int]:
-    """2 p^{-3/2} sum over non-residue classes a of zeta(3/2, a/p); every
-    term is positive and nothing is truncated."""
-    from scipy import special
+# Euler-Maclaurin for zeta(s, q): _EM_SHIFT terms summed directly, then
+# _EM_TERMS Bernoulli corrections at q + _EM_SHIFT >= 9; the next one bounds
+# the remainder. _EM_COEFFS holds B_2j / (2j)! for j = 1..10, each a
+# correctly rounded division of integers.
+_EM_SHIFT = 9
+_EM_TERMS = 9
+_EM_COEFFS = tuple(
+    num / (den * math.factorial(2 * j))
+    for j, (num, den) in enumerate(
+        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+         (43867, 798), (-174611, 330)),
+        start=1,
+    )
+)
 
+
+def _hurwitz_zeta(s: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(s, q) for real s > 1 and q > 0, with a bound on each remainder.
+
+    zeta(s, q) = sum_{k < N} (q+k)^{-s} + w^{1-s}/(s-1) + w^{-s}/2
+                 + sum_{j=1}^{M} B_2j / (2j)! (s)_{2j-1} w^{-s-2j+1} + R,
+
+    w = q + N. For real s > 0 every even derivative of (q+t)^{-s} is
+    positive, so R has the sign of the first omitted term and is smaller
+    (Johansson, Numer. Algorithms 69, 2015)."""
+    # c_j = B_2j/(2j)! (s)_{2j-1}, so that term j is lead/w * c_j u^{j-1}
+    coeffs = []
+    rising = s
+    for j, bernoulli in enumerate(_EM_COEFFS, start=1):
+        coeffs.append(bernoulli * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    w = q + _EM_SHIFT
+    u = 1.0 / (w * w)
+    lead = w**-s
+    value = lead * (w / (s - 1.0) + 0.5 + np.polyval(coeffs[_EM_TERMS - 1 :: -1], u) / w)
+    remainder = abs(coeffs[_EM_TERMS]) * lead / w * u**_EM_TERMS
+    for k in range(_EM_SHIFT - 1, -1, -1):  # ascending magnitude
+        value += (q + k) ** -s
+    return value, remainder
+
+
+def _cp_direct(ctx: PrimeContext) -> tuple[float, float, int]:
+    """2 p^{-3/2} sum over non-residue classes a of zeta(3/2, a/p): the
+    value, the bound on its Euler-Maclaurin remainders, and the number of
+    classes."""
     p = ctx.p
     nonres = np.flatnonzero(ctx.qr_signs() < 0)
-    return 2.0 * p**-1.5 * float(np.sum(special.zeta(1.5, nonres / p))), nonres.size
+    values, remainders = _hurwitz_zeta(1.5, nonres / p)
+    scale = 2.0 * p**-1.5
+    return scale * float(np.sum(values)), scale * float(np.sum(remainders)), nonres.size
 
 
 def _cp_closed(ctx: PrimeContext) -> float:
@@ -192,15 +279,16 @@ def _cp_closed(ctx: PrimeContext) -> float:
 
 def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
     """Both routes to C_p; raises if they disagree beyond their combined
-    certificates plus tol. The direct route truncates nothing, so its
-    certificate is 0."""
-    direct, n_direct = _cp_direct(ctx)
+    certificates plus tol."""
+    direct, direct_bound, n_direct = _cp_direct(ctx)
     lval = L_quadratic(ctx, min(tol, _L_TOL))
     closed = zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value
     residual = abs(direct - closed)
-    if residual > tol + lval.tail_bound:
+    if residual > tol + lval.tail_bound + direct_bound:
         raise ArithmeticError(f"C_p routes disagree by {residual} at p={ctx.p}")
-    return CpReport(ctx.p, direct, closed, residual, 0.0, lval.tail_bound, n_direct, lval.terms)
+    return CpReport(
+        ctx.p, direct, closed, residual, direct_bound, lval.tail_bound, n_direct, lval.terms
+    )
 
 
 CP_LOWER_EXPONENT = 1.0 / (8.0 * math.sqrt(math.e))
@@ -426,13 +514,14 @@ _MAIN_TERMS = {
 def main_term_by_target(
     ctx: PrimeContext, x: int, target: str, case: str = "principal"
 ) -> MainTermBreakdown:
+    if target != "lemma22" and target not in _MAIN_TERMS:
+        raise ValueError(f"unknown target {target!r}")
+    # every target counts through discrete logs: past MAX_LOG_P this raises
+    # before any main term is computed
+    ctx.index_table()
     if target == "lemma22":
         return squarefull_charsum_main_term(ctx, x, case)
-    try:
-        fn = _MAIN_TERMS[target]
-    except KeyError:
-        raise ValueError(f"unknown target {target!r}") from None
-    return fn(ctx, x)
+    return _MAIN_TERMS[target](ctx, x)
 
 
 # -- constants reports -------------------------------------------------------

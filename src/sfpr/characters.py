@@ -14,12 +14,10 @@ primitive-root tables fetch the index table before allocating their own. The
 table is built lazily; a context stays lightweight until something asks for
 an index.
 
-Per-character tables (values over all p residues and their prefix sums) are
-held in a least-recently-used cache of CHI_CACHE_SIZE entries per context, so
-they take at most CHI_CACHE_SIZE * 16 p bytes however many characters are
-visited. A factored character sum uses at most two of them, the values and
-prefix of one character, and only when an interval reaches p, so one sum
-never evicts its own tables.
+Per-character value tables over all p residues are held in a
+least-recently-used cache of CHI_CACHE_SIZE entries per context, so they take
+at most CHI_CACHE_SIZE * 16 p bytes however many characters are visited. Only
+the direct character-sum routes read them; a direct sum uses one.
 """
 
 from __future__ import annotations
@@ -112,34 +110,21 @@ class PrimeContext:
             self._roots = np.exp(2j * np.pi * np.arange(n) / n)
         return self._roots
 
-    def _chi_table(self, key: tuple, build) -> np.ndarray:
-        tables = self._chi_tables
-        table = tables.get(key)
-        if table is None:
-            table = build()
-            tables[key] = table
-            if len(tables) > CHI_CACHE_SIZE:
-                tables.popitem(last=False)
-        else:
-            tables.move_to_end(key)
-        return table
-
     def chi_values(self, j: int) -> np.ndarray:
         """Value table chi_j(r) for residues r in [0, p-1]."""
         j %= self.p - 1
-
-        def build():
+        tables = self._chi_tables
+        vals = tables.get(j)
+        if vals is None:
             ind = self.index_table()
             vals = np.zeros(self.p, dtype=np.complex128)
             vals[1:] = self.roots_of_unity()[(j * ind[1:]) % (self.p - 1)]
-            return vals
-
-        return self._chi_table(("values", j), build)
-
-    def chi_prefix(self, j: int) -> np.ndarray:
-        """C[r] = sum_{m <= r} chi_j(m) over one period, r in [0, p-1]."""
-        j %= self.p - 1
-        return self._chi_table(("prefix", j), lambda: np.cumsum(self.chi_values(j)))
+            tables[j] = vals
+            if len(tables) > CHI_CACHE_SIZE:
+                tables.popitem(last=False)
+        else:
+            tables.move_to_end(j)
+        return vals
 
     def qr_signs(self) -> np.ndarray:
         """Legendre-symbol table over residues as int8; built from squares,

@@ -17,10 +17,11 @@ Each factored sum is one dot product of two arrays over its outer variable
 inner interval or prime sums at the matching bounds (_interval_values).
 Values are read from the discrete-log table as roots of unity, without a
 per-character table. Interval sums come from one prefix: over 1..max(x)
-when every bound is below p, otherwise over a single period, held in the
-context's bounded table cache and extended by periodicity. The direct
-routes read the per-character value table. Every route reads discrete logs,
-so every sum here raises ValueError for p > characters.MAX_LOG_P.
+when every bound is below p, otherwise over a single period extended by
+periodicity. The prefix is built per call and not cached: near MAX_LOG_P
+each one is 64 MB. The direct routes read the per-character value table.
+Every route reads discrete logs, so every sum here raises ValueError for
+p > characters.MAX_LOG_P.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ def _values_at(chi: Character, ms: np.ndarray) -> np.ndarray:
 def _interval_values(chi: Character, xs: np.ndarray) -> np.ndarray:
     """sum_{m <= x} chi(m) for every x >= 0 in xs."""
     ctx = chi.ctx
+    p = ctx.p
     xs = np.asarray(xs, dtype=np.int64)
-    top = int(xs.max(initial=0))
-    if top >= ctx.p:
-        pre = ctx.chi_prefix(chi.j)
-        q, r = np.divmod(xs, ctx.p)
-        return q * pre[ctx.p - 1] + pre[r]
-    return np.cumsum(_values_at(chi, np.arange(top + 1)))[xs]
+    span = min(int(xs.max(initial=0)) + 1, p)
+    vals = ctx.roots_of_unity()[ctx.index_table()[:span] * chi.j % (p - 1)]
+    vals[0] = 0
+    pre = np.cumsum(vals)
+    q, r = np.divmod(xs, p)
+    return q * pre[-1] + pre[r]
 
 
 def sum_char_interval(ctx: PrimeContext, chi: Character, x: int) -> SumResult:

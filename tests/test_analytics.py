@@ -2,9 +2,10 @@
 
 zeta gets a second route (Euler-Maclaurin with Bernoulli corrections),
 L-values get the Hurwitz-zeta decomposition through mpmath, li gets the
-exponential-integral identity through scipy.special.expi, and the direct
-series get coarse partial-sum brackets with positive tails. None of these
-share code with the implementations under test.
+exponential-integral identity through scipy.special.expi, the numpy
+incomplete gamma and Hurwitz zeta get mpmath at the same float arguments,
+and the direct series get coarse partial-sum brackets with positive tails.
+None of these share code with the implementations under test.
 """
 
 import functools
@@ -16,7 +17,7 @@ import pytest
 from scipy.special import expi
 from scipy.special import zeta as scipy_hurwitz
 
-from sfpr import arith
+from sfpr import analytics, arith
 from sfpr.analytics import (
     ConstantsReport,
     L_quadratic,
@@ -94,6 +95,54 @@ def test_zeta_domain():
         zeta(-2.0)
 
 
+# -- numpy special functions -------------------------------------------------
+
+# log and linear points from 1e-8 to 60, with both sides of the switch from
+# the power series to the continued fraction
+_GAMMA_GRID = np.unique(
+    np.concatenate(
+        [
+            np.geomspace(1e-8, 60.0, 241),
+            np.linspace(0.05, 60.0, 240),
+            np.nextafter(analytics._GAMMA_SWITCH, [0.0, np.inf]),
+            [analytics._GAMMA_SWITCH],
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75, 1.25])
+def test_upper_gamma_vs_mpmath(a):
+    # scipy's gammaincc(a, x) * gamma(a) is off by up to 1.3e-14 near x = 1
+    got = analytics._upper_gamma(a, _GAMMA_GRID)
+    want = np.array([float(mp.gammainc(a, mp.mpf(float(x)))) for x in _GAMMA_GRID])
+    assert np.max(np.abs(got - want) / want) <= 1.2e-14
+
+
+def test_hurwitz_zeta_vs_mpmath():
+    q = np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 241), np.linspace(0.005, 1.0, 200)]))
+    got, remainder = analytics._hurwitz_zeta(1.5, q)
+    want = np.array([float(mp.zeta(1.5, mp.mpf(float(v)))) for v in q])
+    assert np.max(np.abs(got - want) / want) <= 2e-15
+    assert np.all(remainder > 0.0) and np.max(remainder) < 1e-17
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.25, 0.5, 1.0])
+def test_hurwitz_zeta_remainder_bound(q):
+    # the Euler-Maclaurin sum with the same N and M, in mpmath: what it
+    # leaves out of zeta(3/2, q) is within the reported remainder
+    s, n, m = mp.mpf(3) / 2, analytics._EM_SHIFT, analytics._EM_TERMS
+    with mp.workdps(50):
+        qm = mp.mpf(q)
+        w = qm + n
+        partial = sum((qm + k) ** -s for k in range(n)) + w ** (1 - s) / (s - 1) + w**-s / 2
+        for j in range(1, m + 1):
+            partial += mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1) * w ** (-s - 2 * j + 1)
+        left_out = mp.zeta(s, qm) - partial
+    _, remainder = analytics._hurwitz_zeta(1.5, np.array([q]))
+    assert 0.0 < abs(float(left_out)) <= remainder[0]
+
+
 # -- L(3/2, chi2) ------------------------------------------------------------
 
 
@@ -144,6 +193,14 @@ def test_cp_identity(p):
     assert rep.residual < 1e-8
     assert 0.0 < rep.closed < 2.0 * zeta(1.5)
     assert rep.value == rep.closed
+
+
+@pytest.mark.parametrize("p", [3, 101, 1052041])
+def test_cp_direct_tail_bound(p):
+    ctx = build_context(p)
+    rep = compute_Cp(ctx)
+    assert 0.0 < rep.direct_tail_bound <= 1e-15
+    assert constants_report(ctx).cp_direct_tail_bound == rep.direct_tail_bound
 
 
 def test_cp_frozen_p101():

@@ -194,7 +194,6 @@ class TestCharacterValues:
         for j in range(100):
             vals = ctx.chi_values(j)
             assert vals[g] == pytest.approx(cmath.exp(2j * cmath.pi * j / 100))
-            assert np.allclose(ctx.chi_prefix(j), np.cumsum(vals))
             assert len(ctx._chi_tables) <= characters.CHI_CACHE_SIZE
         # the most recently used tables survive: same objects, not rebuilt
         assert ctx.chi_values(99) is ctx.chi_values(99)

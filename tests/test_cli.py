@@ -148,21 +148,33 @@ def test_count_large_modulus_budget(tmp_path, argv):
     assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
 
 
+def _assert_fails_fast(tmp_path, argv):
+    code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=5)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("sfpr: error: ") and f"MAX_LOG_P = {MAX_LOG_P}" in err
+    # nothing p-length is allocated: the interpreter and numpy take about 31 MB
+    assert rss_mb <= 64, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
 def test_count_past_max_log_p_fails_fast(tmp_path):
     # 4194319 is the first prime past MAX_LOG_P = 2^22; least reads no
     # discrete logs and still answers there
     assert MAX_LOG_P == 1 << 22
     for method in ("both", "brute", "charsum"):
-        argv = ["count", "--p", "4194319", "--x", "100", "--method", method]
-        code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=5)
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.count("\n") == 1
-        assert err.startswith("sfpr: error: ") and f"MAX_LOG_P = {MAX_LOG_P}" in err
+        _assert_fails_fast(tmp_path, ["count", "--p", "4194319", "--x", "100", "--method", method])
     code, out, err, _, _ = run_measured(tmp_path, ["least", "--p", "4194319"], timeout=60)
     assert code == 0, err
     assert out.splitlines()[1].startswith("4194319,")
+
+
+@pytest.mark.parametrize("target", ["thm1", "lemma22", "thm31", "prop42"])
+def test_profile_past_max_log_p_fails_fast(tmp_path, target):
+    # every profile target counts through discrete logs, so the bound is
+    # checked before any main term (C_p, L, a p-length table) is computed
+    _assert_fails_fast(tmp_path, ["profile", "--p", "4194319", "--target", target])
 
 
 # Large x, small p: the charsum route reads the family's residue histogram,
@@ -350,6 +362,26 @@ def test_commands_do_not_import_scipy_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "integrate": False}
+
+
+def test_commands_do_not_import_scipy():
+    # the constants routes, verify and the profile of L(3/2, chi2) run on
+    # numpy alone; scipy is a test dependency only
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sfpr.cli import main\n"
+        "runs = []\n"
+        "for argv in (['constants', '--p', '100613'], ['verify', '--suite', 'all'],\n"
+        "             ['profile', '--target', 'lemma22', '--method', 'quadratic', '--p', '101']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([main(argv), 'scipy' in sys.modules])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False]]
 
 
 def test_profile_csv(capsys):
