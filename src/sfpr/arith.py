@@ -219,8 +219,10 @@ def omega(n: int) -> int:
     return len(factorize(n).factors)
 
 
+@functools.lru_cache(maxsize=4)
 def mobius_table(limit: int) -> np.ndarray:
-    """mu(m) for m in [0, limit] as int8; mu(0) stored as 0."""
+    """mu(m) for m in [0, limit] as read-only int8; mu(0) stored as 0. Cached:
+    a count's square-free histogram and its factored check share one."""
     if limit < 1:
         raise ValueError("mobius table needs limit >= 1")
     mu = np.ones(limit + 1, dtype=np.int8)
@@ -231,6 +233,7 @@ def mobius_table(limit: int) -> np.ndarray:
         sq = p * p
         if sq <= limit:
             mu[sq::sq] = 0
+    mu.flags.writeable = False
     return mu
 
 

@@ -17,7 +17,7 @@ an index.
 Per-character value tables over all p residues are held in a
 least-recently-used cache of CHI_CACHE_SIZE entries per context, so they take
 at most CHI_CACHE_SIZE * 16 p bytes however many characters are visited. Only
-the direct character-sum routes read them; a direct sum uses one.
+the direct character-sum routes read them, one table per character summed.
 """
 
 from __future__ import annotations

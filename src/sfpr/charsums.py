@@ -12,16 +12,21 @@ set and adds character values. "factored" rewrites the sum exactly:
 Route equality is an exact identity, so the pair doubles as a correctness
 check; tests and the verify suite exercise it on randomized inputs.
 
-Each factored sum is one dot product of two arrays over its outer variable
-(d, b or r): the character values at those points (_values_at) and the
-inner interval or prime sums at the matching bounds (_interval_values).
-Values are read from the discrete-log table as roots of unity, without a
-per-character table. Interval sums come from one prefix: over 1..max(x)
-when every bound is below p, otherwise over a single period extended by
-periodicity. The prefix is built per call and not cached: near MAX_LOG_P
-each one is 64 MB. The direct routes read the per-character value table.
-Every route reads discrete logs, so every sum here raises ValueError for
-p > characters.MAX_LOG_P.
+The restricted sums take one Character, or a sequence of k characters of one
+context and then return k values in one pass. A factored sum is one numpy
+pass over its outer variable (d, b or r) for all k characters: the (k, n)
+matrix of character values at those points (_values_at) times the (k, n)
+matrix of inner interval or prime sums at the matching bounds
+(_interval_values), summed along each row. Values are read from the
+discrete-log table as roots of unity, without a per-character table.
+Interval sums come from one prefix per character: over 1..max(x) when every
+bound is below p, otherwise over a single period extended by periodicity. The
+prefixes are built in place, a block of rows of at most p entries at a time,
+and not cached: near MAX_LOG_P each row is 64 MB. A direct sum takes the
+family's walk histogram (squarefull.*_walk: the members counted by residue
+class mod p) and dots it with the per-character value table, one table per
+character. Every route reads discrete logs, so every sum here raises
+ValueError for p > characters.MAX_LOG_P.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import arith, squarefull
-from .characters import Character, PrimeContext, char_eval
+from .characters import Character, PrimeContext
 
 __all__ = [
     "SumResult",
@@ -51,7 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SumResult:
-    value: complex
+    """value is one complex number for one Character and an array of k for
+    a sequence of k characters; terms_used counts the terms of all k."""
+
+    value: complex | np.ndarray
     terms_used: int
     route: str
 
@@ -61,114 +70,118 @@ def _primes_cached(limit: int) -> np.ndarray:
     return arith.sieve_primes(limit)
 
 
-@functools.lru_cache(maxsize=4)
-def _mobius_cached(limit: int) -> np.ndarray:
-    """arith.mobius_table(limit), read-only: the factored square-free sums of
-    every character checked at one x share it."""
-    mu = arith.mobius_table(limit)
-    mu.flags.writeable = False
-    return mu
-
-
-def _values_at(chi: Character, ms: np.ndarray) -> np.ndarray:
-    """chi(m) for every m in ms, 0 at multiples of p."""
-    ctx = chi.ctx
-    ind = ctx.index_table()
+def _values_at(ctx: PrimeContext, js: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """chi_j(m) for j in js (rows) and m in ms (columns), 0 where p | m."""
     r = np.asarray(ms, dtype=np.int64) % ctx.p
-    vals = ctx.roots_of_unity()[ind[r] * chi.j % (ctx.p - 1)]
-    vals[r == 0] = 0
+    idx = np.multiply.outer(js, ctx.index_table()[r])
+    vals = ctx.roots_of_unity()[np.remainder(idx, ctx.p - 1, out=idx)]
+    vals[:, r == 0] = 0
     return vals
 
 
-def _interval_values(chi: Character, xs: np.ndarray) -> np.ndarray:
-    """sum_{m <= x} chi(m) for every x >= 0 in xs."""
-    ctx = chi.ctx
+def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_{m <= x} chi_j(m) for j in js (rows) and x >= 0 in xs (columns).
+    The prefixes over 0..span-1, span = min(max(xs) + 1, p), are built in
+    blocks of p // span rows, in two buffers of at most p entries."""
     p = ctx.p
     xs = np.asarray(xs, dtype=np.int64)
     span = min(int(xs.max(initial=0)) + 1, p)
-    vals = ctx.roots_of_unity()[ctx.index_table()[:span] * chi.j % (p - 1)]
-    vals[0] = 0
-    pre = np.cumsum(vals)
     q, r = np.divmod(xs, p)
-    return q * pre[-1] + pre[r]
+    ind = ctx.index_table()[:span]
+    roots = ctx.roots_of_unity()
+    rows = max(1, min(len(js), p // span))
+    idx = np.empty((rows, span), dtype=np.int64)
+    pre = np.empty((rows, span), dtype=np.complex128)
+    out = np.empty((len(js), len(xs)), dtype=np.complex128)
+    for lo in range(0, len(js), rows):
+        block = js[lo : lo + rows, None]
+        i, v = idx[: len(block)], pre[: len(block)]
+        np.multiply(block, ind, out=i)
+        np.remainder(i, p - 1, out=i)
+        np.take(roots, i, out=v, mode="clip")
+        v[:, 0] = 0
+        np.cumsum(v, axis=1, out=v)
+        out[lo : lo + len(block)] = q * v[:, -1:] + v[:, r]
+    return out
+
+
+def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
+    """One restricted sum of chi (a Character or a sequence of them) by the
+    direct route (the walk histogram dotted with each value table) or the
+    factored one."""
+    if x < 1:
+        raise ValueError("need x >= 1")
+    ctx.index_table()  # refuses p > MAX_LOG_P before anything of length x
+    chars = [chi] if isinstance(chi, Character) else list(chi)
+    if any(c.ctx is not ctx for c in chars):
+        raise ValueError("every character must belong to ctx")
+    js = np.array([c.j for c in chars], dtype=np.int64)
+    if route == "direct":
+        h = walk(ctx.p, x)
+        values = np.array([np.dot(h, ctx.chi_values(j)) for j in js.tolist()], dtype=np.complex128)
+        terms = int(h.sum())
+    elif route == "factored":
+        values, terms = factored(ctx, js, x)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    if isinstance(chi, Character):
+        return SumResult(complex(values[0]), terms, route)
+    return SumResult(values, terms * len(js), route)
 
 
 def sum_char_interval(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     """sum_{m <= x} chi(m)."""
     if x < 1:
         raise ValueError("need x >= 1")
-    return SumResult(complex(_interval_values(chi, [x])[0]), x, "interval")
-
-
-# -- square-full ------------------------------------------------------------
+    return SumResult(complex(_interval_values(ctx, np.array([chi.j]), [x])[0, 0]), x, "interval")
 
 
 def sum_char_squarefull(
-    ctx: PrimeContext, chi: Character, x: int, route: str = "factored"
+    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
 ) -> SumResult:
-    if x < 1:
-        raise ValueError("need x >= 1")
-    if route == "direct":
-        return _squarefull_direct(ctx, chi, x)
-    if route == "factored":
-        return _squarefull_factored(ctx, chi, x)
-    raise ValueError(f"unknown route {route!r}")
+    """sum of chi(m) over square-full m <= x."""
+    return _restricted_sum(ctx, chi, x, route, squarefull.squarefull_walk, _squarefull_factored)
 
 
-def _squarefull_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    p = ctx.p
-    bmax = arith.icbrt(x)
-    sf = squarefull.squarefree_table(bmax)
-    vals = ctx.chi_values(chi.j)
-    total = 0j
-    terms = 0
-    for b in range(1, bmax + 1):
-        if not sf[b]:
-            continue
-        cube = b * b * b
-        amax = math.isqrt(x // cube)
-        a = np.arange(1, amax + 1, dtype=np.int64)
-        res = (a * a % p) * (cube % p) % p
-        total += complex(vals[res].sum())
-        terms += amax
-    return SumResult(total, terms, "direct")
-
-
-def _squarefull_factored(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    b = np.flatnonzero(squarefull.squarefree_table(arith.icbrt(x)))
-    amax = np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
-    total = np.dot(_values_at(chi.power(3), b), _interval_values(chi.power(2), amax))
-    return SumResult(complex(total), int(amax.sum()), "factored")
-
-
-# -- square-free ------------------------------------------------------------
+def _squarefull_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
+    n = ctx.p - 1
+    b, amax = squarefull.squarefull_runs(x)
+    outer = _values_at(ctx, 3 * js % n, b)
+    return (outer * _interval_values(ctx, 2 * js % n, amax)).sum(axis=1), int(amax.sum())
 
 
 def sum_char_squarefree(
-    ctx: PrimeContext, chi: Character, x: int, route: str = "factored"
+    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
 ) -> SumResult:
-    if x < 1:
-        raise ValueError("need x >= 1")
-    if route == "direct":
-        return _squarefree_direct(ctx, chi, x)
-    if route == "factored":
-        return _squarefree_factored(ctx, chi, x)
-    raise ValueError(f"unknown route {route!r}")
+    """sum of chi(m) over square-free m <= x."""
+    return _restricted_sum(ctx, chi, x, route, squarefull.squarefree_walk, _squarefree_factored)
 
 
-def _squarefree_direct(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    sf = squarefull.squarefree_table(x)
-    members = np.flatnonzero(sf)
-    total = complex(ctx.chi_values(chi.j)[members % ctx.p].sum())
-    return SumResult(total, len(members), "direct")
-
-
-def _squarefree_factored(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    mu = _mobius_cached(math.isqrt(x))
+def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
+    mu = arith.mobius_table(math.isqrt(x))
     d = np.flatnonzero(mu)
     inner_x = x // (d * d)
-    total = np.dot(mu[d] * _values_at(chi, d * d), _interval_values(chi, inner_x))
-    return SumResult(complex(total), int(inner_x.sum()), "factored")
+    outer = mu[d] * _values_at(ctx, js, d * d)
+    return (outer * _interval_values(ctx, js, inner_x)).sum(axis=1), int(inner_x.sum())
+
+
+def sum_char_prime_powerful(
+    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
+) -> SumResult:
+    """sum of chi(m) over m = q^2 r^3 <= x, q and r prime."""
+    return _restricted_sum(ctx, chi, x, route, squarefull.prime_powerful_walk, _prime_powerful_factored)
+
+
+def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
+    rmax = arith.icbrt(x)
+    n = ctx.p - 1
+    primes = _primes_cached(max(math.isqrt(x // 8), rmax, 2))
+    r = primes[: np.searchsorted(primes, rmax, side="right")]
+    qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
+    k = np.searchsorted(primes, qmax, side="right")
+    cum = np.zeros((len(js), len(primes) + 1), dtype=np.complex128)
+    np.cumsum(_values_at(ctx, 2 * js % n, primes), axis=1, out=cum[:, 1:])
+    return (_values_at(ctx, 3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())
 
 
 # -- primes -----------------------------------------------------------------
@@ -181,33 +194,6 @@ def sum_char_primes(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
     primes = _primes_cached(x)
     total = complex(ctx.chi_values(chi.j)[primes % ctx.p].sum())
     return SumResult(total, len(primes), "primes")
-
-
-# -- prime-powerful ---------------------------------------------------------
-
-
-def sum_char_prime_powerful(
-    ctx: PrimeContext, chi: Character, x: int, route: str = "factored"
-) -> SumResult:
-    if x < 1:
-        raise ValueError("need x >= 1")
-    if route == "direct":
-        vals = squarefull.enumerate_prime_powerful(x)
-        total = sum(char_eval(chi, m) for m in vals)
-        return SumResult(total, len(vals), "direct")
-    if route != "factored":
-        raise ValueError(f"unknown route {route!r}")
-    rmax = arith.icbrt(x)
-    if rmax < 2:
-        return SumResult(0j, 0, "factored")
-    qlimit = math.isqrt(x // 8)
-    primes = _primes_cached(max(qlimit, rmax))
-    r = primes[: np.searchsorted(primes, rmax, side="right")]
-    qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
-    k = np.searchsorted(primes, qmax, side="right")
-    cum = np.concatenate([[0j], np.cumsum(_values_at(chi.power(2), primes))])
-    total = np.dot(_values_at(chi.power(3), r), cum[k])
-    return SumResult(complex(total), int(k.sum()), "factored")
 
 
 # -- empirical envelope gauges ----------------------------------------------
@@ -224,9 +210,7 @@ def burgess_ratio(ctx: PrimeContext, chi: Character, x: int, r: int) -> float:
         raise ValueError("gauge needs a non-principal character")
     if r < 2:
         raise ValueError("need r >= 2")
-    if x < 1:
-        raise ValueError("need x >= 1")
-    return abs(_interval_values(chi, [x])[0]) / burgess_envelope(ctx.p, x, r)
+    return abs(sum_char_interval(ctx, chi, x).value) / burgess_envelope(ctx.p, x, r)
 
 
 def grh_prime_ratio(ctx: PrimeContext, chi: Character, x: int) -> float:
@@ -258,8 +242,7 @@ def burgess_gauge_max(
         absS = np.abs(partial[1:]).astype(np.float64)  # x >= 2
         xs = x[1:].astype(np.float64)
         for r in rs:
-            env = xs ** (1 - 1 / r) * p ** ((r + 1) / (4 * r * r)) * math.log(p) ** (1 / (2 * r))
-            ratios = absS / env
+            ratios = absS / burgess_envelope(p, xs, r)
             k = int(np.argmax(ratios))
             if ratios[k] > best["ratio"]:
                 best = {"ratio": float(ratios[k]), "p": p, "r": r, "x": int(x[1:][k])}

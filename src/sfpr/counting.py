@@ -22,13 +22,13 @@ first: p > characters.MAX_LOG_P is refused before anything of length p or x
 is allocated.
 
 Two independent routes keep every count an executable identity. The brute
-route enumerates the members and looks each one up in the primitive-root
-table. The FFT spectrum is
-checked against the factored sums of charsums on a fixed sample of
-characters: the principal one, the quadratic one and CHECK_SAMPLE more drawn
-by a random.Random seeded from (p, x, target), or every character when
-p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of CHECK_RTOL or more raises
-ArithmeticError.
+route walks the members (the walk histograms of sfpr.squarefull) and adds
+the counts of the residue classes that are primitive roots. The FFT spectrum
+is checked against the factored sums of charsums, in one batched call, on a
+fixed sample of characters: the principal one, the quadratic one and
+CHECK_SAMPLE more drawn by a random.Random seeded from (p, x, target), or
+every character when p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of
+CHECK_RTOL or more raises ArithmeticError.
 
 The least square-full primitive root g_sf(p) is searched along one ascending
 list of the square-full numbers that are not perfect squares, shared by every
@@ -144,47 +144,15 @@ class CountReport:
     elapsed_charsum: float | None
 
 
-# -- families: members up to x, reduced mod p ---------------------------------
+# -- families: members up to x, counted by residue mod p ---------------------
 #
-# Each family has two views. The brute route walks its members' residues, in
-# chunks. The charsum route needs only h[r], the number of members congruent
-# to r mod p, which the square-free and square-full families give by
-# periodicity in O(p) memory without visiting their members.
-
-_RUN_CHUNK = 1 << 20  # entries per vectorised batch of residue runs
-_D_RANGE = 1 << 16  # square-free d processed per batch
-
-
-def _squarefull_residues(p: int, x: int) -> Iterator[np.ndarray]:
-    """m = a^2 b^3 with b square-free, one chunk per b."""
-    sf = squarefull.squarefree_table(arith.icbrt(x))
-    for b in np.flatnonzero(sf):
-        cube = int(b) ** 3
-        a = np.arange(1, math.isqrt(x // cube) + 1, dtype=np.int64)
-        yield (a * a % p) * (cube % p) % p
-
-
-def _prime_powerful_residues(p: int, x: int) -> Iterator[np.ndarray]:
-    yield np.array(squarefull.enumerate_prime_powerful(x), dtype=np.int64) % p
-
-
-def _squarefree_residues(p: int, x: int) -> Iterator[np.ndarray]:
-    yield np.flatnonzero(squarefull.squarefree_table(x)) % p
-
-
-def _add_runs(h: np.ndarray, power: int, steps, counts, weights) -> None:
-    """h[k^power * step mod p] += weight for k in [1, count], for each
-    (step, count, weight); every count < p, so k^power * step < p^2."""
-    p = len(h)
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _RUN_CHUNK, "right")))
-        c = counts[lo:hi]
-        k = np.arange(1, int(c.sum()) + 1, dtype=np.int64) - np.repeat(np.cumsum(c) - c, c)
-        res = k**power % p * np.repeat(steps[lo:hi], c) % p
-        h += np.bincount(res, weights=np.repeat(weights[lo:hi], c), minlength=p).astype(np.int64)
-        lo = hi
+# Each family has two histograms h[r], the number of its members m <= x with
+# m = r mod p. The walk histogram of sfpr.squarefull visits the members
+# themselves; the brute route reads it, and so do the direct character sums.
+# The charsum route reads the periodic one, which the square-free and
+# square-full families give by Mobius inversion and periodicity in O(p)
+# memory without visiting their members; the q^2 r^3 family, O(sqrt(x))
+# members, has only its walk.
 
 
 def _squarefree_histogram(p: int, x: int) -> np.ndarray:
@@ -192,18 +160,15 @@ def _squarefree_histogram(p: int, x: int) -> np.ndarray:
     X = x // d^2 multiples k d^2, which cover every class X // p times plus
     the classes k d^2 mod p for k <= X % p. O(sqrt(x p)) entries in all."""
     h = np.zeros(p, dtype=np.int64)
-    mu = arith.mobius_table(math.isqrt(x))
-    full = 0
-    for lo in range(1, len(mu), _D_RANGE):
-        d = np.flatnonzero(mu[lo : lo + _D_RANGE]) + lo
-        w = mu[d].astype(np.int64)
-        big_x = x // (d * d)
-        at_p = d % p == 0  # k d^2 = 0 mod p for every k
-        h[0] += int(np.dot(w[at_p], big_x[at_p]))
-        d, w, big_x = d[~at_p], w[~at_p], big_x[~at_p]
-        full += int(np.dot(w, big_x // p))
-        _add_runs(h, 1, d * d % p, big_x % p, w)
-    h += full
+    mu = arith.mobius_table(math.isqrt(x))  # cached: the factored check reads it too
+    d = np.flatnonzero(mu)
+    w = mu[d].astype(np.int64)
+    big_x = x // (d * d)
+    at_p = d % p == 0  # k d^2 = 0 mod p for every k
+    h[0] += int(np.dot(w[at_p], big_x[at_p]))
+    d, w, big_x = d[~at_p], w[~at_p], big_x[~at_p]
+    h += int(np.dot(w, big_x // p))
+    squarefull.add_runs(h, 1, d * d % p, big_x % p, w)
     return h
 
 
@@ -213,8 +178,7 @@ def _squarefull_histogram(p: int, x: int) -> np.ndarray:
     2 on each r with (r|p) = (b|p); the last A % p values of a are added as
     a run. O(x^(1/3) + sqrt(x)) entries in all."""
     h = np.zeros(p, dtype=np.int64)
-    b = np.flatnonzero(squarefull.squarefree_table(arith.icbrt(x)))
-    big_a = np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
+    b, big_a = squarefull.squarefull_runs(x)
     at_p = b % p == 0
     h[0] += int(big_a[at_p].sum())
     b, big_a = b[~at_p], big_a[~at_p]
@@ -224,24 +188,18 @@ def _squarefull_histogram(p: int, x: int) -> np.ndarray:
     b_square = squares[b % p]
     h[0] += int(periods.sum())
     h[1:] += np.where(squares[1:], 2 * periods[b_square].sum(), 2 * periods[~b_square].sum())
-    cube = b % p * (b % p) % p * (b % p) % p
-    _add_runs(h, 2, cube, big_a % p, np.ones(len(b), dtype=np.int64))
+    squarefull.add_runs(h, 2, b**3 % p, big_a % p, np.ones(len(b), dtype=np.int64))
     return h
 
 
-def _prime_powerful_histogram(p: int, x: int) -> np.ndarray:
-    (residues,) = _prime_powerful_residues(p, x)
-    return np.bincount(residues, minlength=p)
-
-
-# target -> (member residues, residue histogram, character sum with a direct
-# and a factored route); the one registry of target families, read by verify
-# and the CLI too. Plain tuples, because perfbench's tracer swaps wrapped
-# functions into module-level tuples by rebuilding them as tuples
+# target -> (walk histogram, periodic histogram, character sum with a direct
+# and a factored route); the one registry of target families, read by verify,
+# the CLI and the tests too. Plain tuples, because perfbench's tracer swaps
+# wrapped functions into module-level tuples by rebuilding them as tuples
 FAMILIES = {
-    "squarefull": (_squarefull_residues, _squarefull_histogram, sum_char_squarefull),
-    "S": (_prime_powerful_residues, _prime_powerful_histogram, sum_char_prime_powerful),
-    "squarefree": (_squarefree_residues, _squarefree_histogram, sum_char_squarefree),
+    "squarefull": (squarefull.squarefull_walk, _squarefull_histogram, sum_char_squarefull),
+    "S": (squarefull.prime_powerful_walk, squarefull.prime_powerful_walk, sum_char_prime_powerful),
+    "squarefree": (squarefull.squarefree_walk, _squarefree_histogram, sum_char_squarefree),
 }
 
 
@@ -276,14 +234,14 @@ def _checked_characters(p: int, x: int, target: str) -> list[int]:
 
 
 def _check_factored(ctx: PrimeContext, x: int, target: str, sums: np.ndarray) -> None:
-    sum_fn = _family(target)[2]
-    for j in _checked_characters(ctx.p, x, target):
-        want = sum_fn(ctx, Character(ctx, j), x, route="factored").value
-        rel = abs(sums[j] - want) / max(1.0, abs(want))
-        if not rel < CHECK_RTOL:
+    js = _checked_characters(ctx.p, x, target)
+    want = _family(target)[2](ctx, [Character(ctx, j) for j in js], x, route="factored").value
+    rel = np.abs(sums[js] - want) / np.maximum(1.0, np.abs(want))
+    for j, got, w, e in zip(js, sums[js], want, rel):
+        if not e < CHECK_RTOL:
             raise ArithmeticError(
                 f"{target} sum of chi_{j} mod {ctx.p} to x={x}: "
-                f"FFT {sums[j]} vs factored {want} (relative {rel:.3e})"
+                f"FFT {got} vs factored {w} (relative {e:.3e})"
             )
 
 
@@ -300,8 +258,7 @@ def _charsum_count(ctx: PrimeContext, x: int, target: str) -> tuple[float, int]:
 
 
 def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
-    is_pr = ctx.is_pr_table()
-    return sum(int(np.count_nonzero(is_pr[r])) for r in _family(target)[0](ctx.p, x))
+    return int(_family(target)[0](ctx.p, x)[ctx.is_pr_table()].sum())
 
 
 def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:

@@ -4,6 +4,10 @@ Every square-full m factors uniquely as m = a^2 b^3 with b square-free; the
 ascending enumeration merges the arithmetic streams {a^2 b^3 : a >= 1}, one per
 admissible b, through a heap. The prime-powerful subset {q^2 r^3 : q, r prime}
 keeps q = r, so fifth powers of primes are members.
+
+The walk histograms h[k], the number of a family's members m <= x with
+m = k mod p, visit the members themselves in one numpy pass; they use neither
+Mobius inversion nor periodicity mod p, so they check the routes that do.
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ __all__ = [
     "enumerate_squarefull",
     "squarefull_stream",
     "squarefull_count",
+    "squarefull_runs",
     "squarefree_table",
     "enumerate_prime_powerful",
+    "add_runs",
+    *("squarefree_walk", "squarefull_walk", "prime_powerful_walk"),
 ]
 
 
@@ -94,15 +101,10 @@ def squarefull_stream() -> Iterator[int]:
     first element b^3 surfaces."""
 
     def next_squarefree(b: int) -> int:
-        while True:
+        b += 1
+        while any(b % (d * d) == 0 for d in range(2, math.isqrt(b) + 1)):
             b += 1
-            d = 2
-            while d * d <= b:
-                if b % (d * d) == 0:
-                    break
-                d += 1
-            else:
-                return b
+        return b
 
     heap = [(1, 1, 1)]
     b_next = 2
@@ -115,13 +117,18 @@ def squarefull_stream() -> Iterator[int]:
         yield v
 
 
-def squarefull_count(x: int) -> int:
-    """|{square-full m <= x}| via the a^2 b^3 bijection, no enumeration."""
+def squarefull_runs(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b, A): every square-free b <= x^(1/3) and A[i] = isqrt(x // b[i]^3),
+    the number of square-full a^2 b[i]^3 <= x."""
     if x < 1:
         raise ValueError("need x >= 1")
-    bmax = arith.icbrt(x)
-    sf = squarefree_table(bmax)
-    return sum(math.isqrt(x // (b * b * b)) for b in range(1, bmax + 1) if sf[b])
+    b = np.flatnonzero(squarefree_table(arith.icbrt(x)))
+    return b, np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
+
+
+def squarefull_count(x: int) -> int:
+    """|{square-full m <= x}| via the a^2 b^3 bijection, no enumeration."""
+    return int(squarefull_runs(x)[1].sum())
 
 
 def enumerate_prime_powerful(x: int) -> list[int]:
@@ -146,3 +153,46 @@ def enumerate_prime_powerful(x: int) -> list[int]:
             out.append(q * q * cube)
     out.sort()
     return out
+
+
+_RUN_CHUNK = 1 << 20  # entries per vectorised batch of add_runs
+
+
+def add_runs(h: np.ndarray, power: int, steps, counts, weights) -> None:
+    """h[k^power * step mod p] += weight for k in [1, count], for each
+    (step, count, weight), p = len(h), in batches of about _RUN_CHUNK
+    entries; k^power must fit in int64 and every step be below p."""
+    p = len(h)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _RUN_CHUNK, "right")))
+        c = counts[lo:hi]
+        k = np.arange(1, int(c.sum()) + 1, dtype=np.int64) - np.repeat(np.cumsum(c) - c, c)
+        res = k**power % p * np.repeat(steps[lo:hi], c) % p
+        h += np.bincount(res, weights=np.repeat(weights[lo:hi], c), minlength=p).astype(np.int64)
+        lo = hi
+
+
+def squarefree_walk(p: int, x: int) -> np.ndarray:
+    """h[k] = |{square-free m <= x : m = k mod p}|: squarefree_table(x) as
+    rows of length p, summed down the columns."""
+    t = squarefree_table(x).view(np.uint8)
+    rows = len(t) // p
+    h = t[: rows * p].reshape(rows, p).sum(axis=0, dtype=np.int64)
+    h[: len(t) - rows * p] += t[rows * p :]
+    return h
+
+
+def squarefull_walk(p: int, x: int) -> np.ndarray:
+    """h[k] = |{square-full m <= x : m = k mod p}|: m = a^2 b^3 for every
+    square-free b and a <= isqrt(x // b^3), as runs over a."""
+    b, big_a = squarefull_runs(x)
+    h = np.zeros(p, dtype=np.int64)
+    add_runs(h, 2, b**3 % p, big_a, np.ones(len(b), dtype=np.int64))
+    return h
+
+
+def prime_powerful_walk(p: int, x: int) -> np.ndarray:
+    """h[k] = |{m = q^2 r^3 <= x : q, r prime, m = k mod p}|."""
+    return np.bincount(np.array(enumerate_prime_powerful(x), dtype=np.int64) % p, minlength=p)

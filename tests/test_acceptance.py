@@ -38,16 +38,19 @@ from sfpr.charsums import (
     sum_char_squarefull,
 )
 from sfpr.cli import main as cli_main
-from sfpr.counting import count_by_target, hypothesis_scan, least_squarefree_pr, least_squarefull_pr
+from sfpr.counting import (
+    FAMILIES,
+    count_by_target,
+    hypothesis_scan,
+    least_squarefree_pr,
+    least_squarefull_pr,
+)
 
 FIRST_RUN = {
     "burgess_max": {"ratio": 0.7237429302969588, "p": 1009, "r": 3, "x": 10},
     "grh_max": {"ratio": 0.035369548303509205, "p": 101, "x": 3},
     "lemma22_principal_scaled_max": 0.428826901430858,
 }
-
-_FAMILIES = ("squarefull", "S", "squarefree")
-
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
     line = f"[criterion {n}] {'PASS' if ok else 'FAIL'} {detail}"
@@ -62,7 +65,7 @@ def test_criterion_1_counting_identity():
     for p in (int(q) for q in arith.sieve_primes(199)[1:]):
         ctx = build_context(p)
         for x in (10**2, 10**3, 10**4):
-            for family in _FAMILIES:
+            for family in FAMILIES:
                 rep = count_by_target(ctx, x, family)
                 cases += 1
                 max_residual = max(max_residual, rep.residual)

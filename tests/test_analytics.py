@@ -75,6 +75,15 @@ def test_zeta_frozen_values():
     assert zeta(2.0 / 3.0) == pytest.approx(-2.4475807362336579, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [2.0 / 3.0, 1.5, 2.0, 3.0])
+def test_zeta_correctly_rounded_at_constant_arguments(s):
+    # the arguments every constant uses: within half an ulp of mpmath at 40
+    # digits, evaluated at the same float s
+    with mp.workdps(40):
+        want = mp.zeta(mp.mpf(s))
+        assert abs(mp.mpf(zeta(s)) - want) <= mp.mpf(math.ulp(float(want))) / 2
+
+
 @pytest.mark.parametrize("s", [0.25, 2.0 / 3.0, 1.5, 2.0, 3.0, 4.5])
 def test_zeta_matches_euler_maclaurin(s):
     assert zeta(s) == pytest.approx(em_zeta(s), abs=5e-12)

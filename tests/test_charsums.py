@@ -1,13 +1,14 @@
 """Character-sum route checks: frozen small values, exact route equality on
 randomized inputs, symmetry, and gauge sanity."""
 
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
 
-from sfpr import arith, charsums, squarefull
+from sfpr import arith, charsums, counting, squarefull
 from sfpr.characters import Character, build_context, characters_of_order, principal, quadratic
 from sfpr.charsums import (
     burgess_ratio,
@@ -18,6 +19,7 @@ from sfpr.charsums import (
     sum_char_squarefree,
     sum_char_squarefull,
 )
+from sfpr.counting import count_by_target
 
 
 def brute_interval(ctx, chi, x):
@@ -248,3 +250,116 @@ class TestGauges:
         ctx = build_context(101)
         again = grh_prime_ratio(ctx, quadratic(ctx), best["x"])
         assert best["ratio"] == pytest.approx(again, abs=1e-12)
+
+
+RESTRICTED = (sum_char_squarefull, sum_char_squarefree, sum_char_prime_powerful)
+
+
+class TestBatchedCharacters:
+    """A call on a sequence of characters is the stack of the scalar calls,
+    bit for bit, and its terms_used is theirs summed."""
+
+    @pytest.mark.parametrize(
+        "p,x",
+        # at p = 1048573 the prefix is built one row per block above p and
+        # three rows per block at x = 300000, so 8 characters split unevenly
+        [(1009, 10**4), (1009, 10**6), (1048573, 300_000), (1048573, 1_100_000)],
+    )
+    @pytest.mark.parametrize("fn", RESTRICTED)
+    def test_equals_stacked_scalar_calls(self, fn, p, x):
+        ctx = build_context(p)
+        js = [0, (p - 1) // 2, *random.Random(f"{p}:{x}").sample(range(1, p - 1), 6)]
+        chars = [Character(ctx, j) for j in js]
+        batched = fn(ctx, chars, x, "factored")
+        scalar = [fn(ctx, chi, x, "factored") for chi in chars]
+        assert batched.value.tolist() == [r.value for r in scalar]
+        assert batched.terms_used == sum(r.terms_used for r in scalar)
+
+    @pytest.mark.parametrize("fn", RESTRICTED)
+    def test_direct_route_batches_too(self, fn):
+        ctx = build_context(101)
+        chars = [Character(ctx, j) for j in (0, 3, 50, 77)]
+        batched = fn(ctx, chars, 5000, "direct")
+        scalar = [fn(ctx, chi, 5000, "direct") for chi in chars]
+        assert batched.value.tolist() == [r.value for r in scalar]
+        assert batched.terms_used == sum(r.terms_used for r in scalar)
+
+    @pytest.mark.parametrize("route", ["direct", "factored"])
+    @pytest.mark.parametrize("fn", RESTRICTED)
+    def test_empty_sequence(self, fn, route):
+        got = fn(build_context(101), [], 5000, route)
+        assert got.value.shape == (0,) and got.terms_used == 0
+
+    def test_rejects_character_of_another_modulus(self):
+        ctx, other = build_context(101), build_context(103)
+        with pytest.raises(ValueError):
+            sum_char_squarefree(ctx, [Character(ctx, 1), Character(other, 1)], 1000)
+
+
+def _oracle_squarefull(m):
+    return all(e >= 2 for e in _oracle_exponents(m))
+
+
+def _oracle_squarefree(m):
+    return all(e == 1 for e in _oracle_exponents(m))
+
+
+def _oracle_prime_powerful(m):
+    # m = q^2 r^3 with q, r prime: exponents (2, 3), (3, 2) or a single 5
+    return sorted(_oracle_exponents(m)) in ([2, 3], [5])
+
+
+def _oracle_exponents(m):
+    exps, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            exps.append(e)
+        d += 1
+    return exps + [1] * (m > 1)
+
+
+WALKS = (
+    (sum_char_squarefull, _oracle_squarefull),
+    (sum_char_squarefree, _oracle_squarefree),
+    (sum_char_prime_powerful, _oracle_prime_powerful),
+)
+
+
+class TestDirectRoutes:
+    """Each direct route against a plain-Python walk: members by trial
+    division, chi_j(m) from the k with pow(g, k, p) = m."""
+
+    @pytest.mark.parametrize("x", [60, 5000])  # either side of p = 101
+    @pytest.mark.parametrize("fn,is_member", WALKS)
+    def test_matches_pow_walk(self, fn, is_member, x):
+        ctx = build_context(101)
+        n = ctx.p - 1
+        logs = {pow(ctx.generator, k, ctx.p): k for k in range(n)}
+        members = [m for m in range(1, x + 1) if is_member(m)]
+        for j in (0, 1, 25, 50, 99):
+            terms = [cmath.exp(2j * math.pi * (j * logs[m % ctx.p] % n) / n) for m in members if m % ctx.p]
+            want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            got = fn(ctx, Character(ctx, j), x, "direct")
+            assert got.terms_used == len(members)
+            assert abs(got.value - want) <= 1e-12 * max(1.0, abs(want)), (j, got.value, want)
+
+
+@pytest.mark.parametrize("target", list(counting.FAMILIES))
+def test_count_calls_family_sum_once(monkeypatch, target):
+    # the FFT check sums all its sampled characters in one call
+    walk, histogram, fn = counting.FAMILIES[target]
+    calls = []
+
+    def counted(ctx, chi, x, route):
+        calls.append((len(chi), route))
+        return fn(ctx, chi, x, route)
+
+    monkeypatch.setitem(counting.FAMILIES, target, (walk, histogram, counted))
+    ctx = build_context(1009)
+    for x in (500, 10**4):
+        count_by_target(ctx, x, target)
+    assert calls == [(counting.CHECK_SAMPLE + 2, "factored")] * 2

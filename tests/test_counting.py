@@ -206,16 +206,18 @@ def test_family_charsums_full_spectrum(p, x, target):
         assert abs(sums[j] - want) <= 1e-9 * max(1.0, abs(want)), j
 
 
-@pytest.mark.parametrize("run_chunk", [7, counting._RUN_CHUNK])
+@pytest.mark.parametrize("run_chunk", [7, squarefull._RUN_CHUNK])
 @pytest.mark.parametrize("p", [3, 5, 13, 101])
 @pytest.mark.parametrize("target", ["squarefull", "S", "squarefree"])
 def test_family_histogram_counts_members(monkeypatch, run_chunk, p, target):
     # x >= p^2 makes the square-free and square-full histograms use whole
-    # periods; a batch of 7 entries splits every run across batches
-    monkeypatch.setattr(counting, "_RUN_CHUNK", run_chunk)
+    # periods; a batch of 7 entries splits every run across batches; both
+    # the walk and the periodic histogram of each family are checked
+    monkeypatch.setattr(squarefull, "_RUN_CHUNK", run_chunk)
     for x in (1, 2, 100, 10**4):
         want = np.bincount([m % p for m in oracle_members(target, x)], minlength=p)
-        assert np.array_equal(counting.FAMILIES[target][1](p, x), want), x
+        for histogram in counting.FAMILIES[target][:2]:
+            assert np.array_equal(histogram(p, x), want), (histogram, x)
 
 
 def test_family_charsums_match_power_oracle():
