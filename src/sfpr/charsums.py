@@ -1,5 +1,6 @@
-"""Character sums over intervals, square-full numbers, square-free numbers,
-primes, and the prime-powerful set {q^2 r^3}.
+"""Character sums over square-full numbers, square-free numbers and the
+prime-powerful set {q^2 r^3}, and the maxima of the quadratic character's
+interval and prime sums against two analytic envelopes.
 
 Each restricted sum has two interchangeable routes. "direct" walks the defining
 set and adds character values. "factored" rewrites the sum exactly:
@@ -27,6 +28,9 @@ family's walk histogram (squarefull.*_walk: the members counted by residue
 class mod p) and dots it with the per-character value table, one table per
 character. Every route reads discrete logs, so every sum here raises
 ValueError for p > characters.MAX_LOG_P.
+
+The gauges (burgess_gauge_max, grh_gauge_max) read no logs: they take the
+Legendre symbols of the quadratic character as exact integer partial sums.
 """
 
 from __future__ import annotations
@@ -43,13 +47,9 @@ from .characters import Character, PrimeContext
 
 __all__ = [
     "SumResult",
-    "sum_char_interval",
     "sum_char_squarefull",
     "sum_char_squarefree",
-    "sum_char_primes",
     "sum_char_prime_powerful",
-    "burgess_ratio",
-    "grh_prime_ratio",
     "burgess_gauge_max",
     "grh_gauge_max",
 ]
@@ -129,13 +129,6 @@ def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
     return SumResult(values, terms * len(js), route)
 
 
-def sum_char_interval(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    """sum_{m <= x} chi(m)."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    return SumResult(complex(_interval_values(ctx, np.array([chi.j]), [x])[0, 0]), x, "interval")
-
-
 def sum_char_squarefull(
     ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
 ) -> SumResult:
@@ -184,18 +177,6 @@ def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple
     return (_values_at(ctx, 3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())
 
 
-# -- primes -----------------------------------------------------------------
-
-
-def sum_char_primes(ctx: PrimeContext, chi: Character, x: int) -> SumResult:
-    """sum over primes q <= x of chi(q)."""
-    if x < 2:
-        raise ValueError("need x >= 2")
-    primes = _primes_cached(x)
-    total = complex(ctx.chi_values(chi.j)[primes % ctx.p].sum())
-    return SumResult(total, len(primes), "primes")
-
-
 # -- empirical envelope gauges ----------------------------------------------
 
 
@@ -203,30 +184,14 @@ def burgess_envelope(p: int, x: int, r: int) -> float:
     return x ** (1 - 1 / r) * p ** ((r + 1) / (4 * r * r)) * math.log(p) ** (1 / (2 * r))
 
 
-def burgess_ratio(ctx: PrimeContext, chi: Character, x: int, r: int) -> float:
-    """|interval sum| against the subconvex envelope; a measured gauge, not a
-    theorem (the true inequality carries an unspecified constant)."""
-    if chi.is_principal:
-        raise ValueError("gauge needs a non-principal character")
-    if r < 2:
-        raise ValueError("need r >= 2")
-    return abs(sum_char_interval(ctx, chi, x).value) / burgess_envelope(ctx.p, x, r)
-
-
-def grh_prime_ratio(ctx: PrimeContext, chi: Character, x: int) -> float:
-    """|prime sum| against the conditional sqrt(x) log^2(px) envelope."""
-    if x < 2:
-        raise ValueError("need x >= 2")
-    num = abs(sum_char_primes(ctx, chi, x).value)
-    return num / (math.sqrt(x) * math.log(ctx.p * x) ** 2)
-
-
 def burgess_gauge_max(
     ps: tuple[int, ...] = (101, 1009, 10007),
     rs: tuple[int, ...] = (2, 3),
     xmax: int = 10**4,
 ) -> dict:
-    """Max burgess_ratio for the quadratic character over x in [2, xmax].
+    """Max of |sum_{m <= x} (m|p)| / burgess_envelope(p, x, r) over x in
+    [2, xmax]: a measured gauge, not a theorem (the true inequality carries
+    an unspecified constant).
 
     Partial sums are exact integers (Legendre values), so the result is a
     deterministic regression pin.
@@ -250,7 +215,8 @@ def burgess_gauge_max(
 
 
 def grh_gauge_max(ps: tuple[int, ...] = (101, 1009, 10007), xmax: int = 10**7) -> dict:
-    """Max grh_prime_ratio for the quadratic character over x <= xmax.
+    """Max of |sum_{q <= x, q prime} (q|p)| against the conditional
+    sqrt(x) log^2(px) envelope over x <= xmax.
 
     Between consecutive primes the numerator is constant and the envelope
     grows, so scanning x over primes is exact.

@@ -30,36 +30,38 @@ CHECK_SAMPLE more drawn by a random.Random seeded from (p, x, target), or
 every character when p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of
 CHECK_RTOL or more raises ArithmeticError.
 
-The least square-full primitive root g_sf(p) is searched along one ascending
-list of the square-full numbers that are not perfect squares, shared by every
-prime of the process and grown on demand from a single square-full stream.
-Dropping the squares is exact for every odd p: a square is 0 or a quadratic
-residue mod p, and 2 | p - 1, so its order divides (p - 1)/2 and it is never
-a primitive root; the first hit is the same as along the full stream.
+Each least element is the first primitive root along a fixed ascending list
+of candidates, shared by every search of the process and grown on demand:
+the square-full non-squares for g_sf(p), the square-free numbers from 2, and
+the non-squares from 2 for g(p). Dropping the squares is exact for every odd
+p: a square is 0 or a quadratic residue mod p, and 2 | p - 1, so its order
+divides (p - 1)/2 and it is never a primitive root.
 
-The hypothesis scan finds g_sf(p) for a whole block of primes at once, in
-numpy lanes. The distinct primes of every p - 1 come from one sieve over the
-block's span (arith.prime_factors_lanes). Every candidate is m = a^2 b^3 with b
-square-free, so (m|p) = (b|p), a product of symbols (l|p) for a few small
-primes l, each read from p mod 4l by quadratic reciprocity
-(arith.legendre_lanes): residues and multiples of p are dropped without a
-power, and 2 | p - 1 makes the non-residues pass the test at q = 2. The odd q
-run as int64 square-and-multiply lanes (arith.pow_mod_lanes), exact up to
+Scans find all three for a whole block of 4096 primes at once, in numpy
+lanes. The distinct primes of every p - 1, and so omega(p - 1), come from one
+sieve over the block's span (arith.prime_factors_lanes). Every candidate is
+m = a^2 b with b square-free, so (m|p) = (b|p), a product of symbols (l|p),
+each read from p mod 4l by quadratic reciprocity (arith.legendre_lanes):
+residues and multiples of p are dropped without a power, and 2 | p - 1 makes
+the non-residues pass the test at q = 2. The odd q run as int64
+square-and-multiply lanes (arith.pow_mod_lanes), exact up to
 arith.MAX_INT64_MODULUS, over a head of _LANE_HEAD candidates; the few primes
-still open after it finish on the scalar least_squarefull_pr. Every prime the
-block reports (g_sf(p) >= p), and CROSS_CHECK_SAMPLE more drawn by a
-random.Random seeded from the block's first prime, is derived again by
-least_squarefull_pr on build_context, whose factorization comes from
-arith.factorize; a disagreement raises ArithmeticError.
+still open after it finish on the scalar search. The scalar route is kept as
+the cross-check: every prime a block reports with g_sf(p) >= p, and
+CROSS_CHECK_SAMPLE more drawn by a random.Random seeded from the block's first
+prime, is derived again on build_context (factorization by arith.factorize),
+by scan_record for scan_range and least_squarefull_pr for hypothesis_scan; a
+disagreement raises ArithmeticError.
 
-Scans over prime ranges shard into contiguous blocks of 4096 primes, slices of
-one sieve; workers (never more than there are blocks) pull blocks, the parent
-flushes results in block order, so output is deterministic for any worker
-count.
+The blocks are contiguous slices of one sieve; workers (never more than there
+are blocks) pull blocks, the parent flushes results in block order, so output
+is deterministic for any worker count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -83,7 +85,6 @@ __all__ = [
     "ScanRecord",
     "HypothesisReport",
     "pr_decomposition",
-    "pr_indicator_charsum",
     "family_charsums",
     "FAMILIES",
     "count_by_target",
@@ -116,18 +117,6 @@ def pr_decomposition(ctx: PrimeContext) -> np.ndarray:
         w = by_gcd[np.gcd(np.arange(n, dtype=np.int64), n)]
         ctx.cache["pr_decomposition"] = w
     return w
-
-
-def pr_indicator_charsum(ctx: PrimeContext, m: int) -> float:
-    """Character-sum indicator: 1.0 when m is a primitive root, else 0.0,
-    up to float error."""
-    if m % ctx.p == 0:
-        return 0.0
-    n = ctx.p - 1
-    w = pr_decomposition(ctx)
-    js = np.flatnonzero(w)
-    total = np.dot(w[js], ctx.roots_of_unity()[js * ctx.index(m) % n])
-    return float(total.real) * arith.euler_phi(n) / n
 
 
 @dataclass(frozen=True)
@@ -290,17 +279,16 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
 # -- least elements ---------------------------------------------------------
 
 
-# Candidates of least_squarefull_pr (see the module docstring). A fixed
-# sequence, so sharing it across callers changes no result; its source stream
-# starts on first use, not at import.
+# The candidate lists (see the module docstring), grown in place on demand;
+# the square-full stream starts on first use, not at import.
 _NONSQUARE_SQUAREFULL: list[int] = []
 _CANDIDATE_STEP = 256
 _squarefull_source: Iterator[int] | None = None
 
 
 def _nonsquare_squarefull(count: int) -> list[int]:
-    """The shared candidate list, grown in steps of _CANDIDATE_STEP entries
-    until it holds count entries or more."""
+    """The square-full non-squares, grown in steps of _CANDIDATE_STEP
+    entries until they number count or more."""
     global _squarefull_source
     cands = _NONSQUARE_SQUAREFULL
     if len(cands) < count:
@@ -315,32 +303,12 @@ def _nonsquare_squarefull(count: int) -> list[int]:
     return cands
 
 
-def least_squarefull_pr(ctx: PrimeContext, ceiling: int = SEARCH_CEILING) -> int:
-    """g_sf(p): the first primitive root along the shared ascending list of
-    square-full non-squares. Skipping the squares (1 among them) is exact for
-    every odd p: a square is 0 or a quadratic residue mod p, so its order
-    divides (p-1)/2 and it is never a primitive root."""
-    cands = _NONSQUARE_SQUAREFULL
-    i = 0
-    while True:
-        if i == len(cands):
-            _nonsquare_squarefull(i + 1)
-        m = cands[i]
-        if m > ceiling:
-            raise ArithmeticError(f"no square-full primitive root below {ceiling}")
-        if arith.is_primitive_root(m, ctx):
-            return m
-        i += 1
-
-
-# Candidates of least_squarefree_pr: the square-free numbers >= 2, ascending,
-# shared like the square-full list and regrown from a table twice as long.
 _SQUAREFREE: list[int] = []
 
 
 def _squarefree_above_one(count: int) -> list[int]:
-    """The shared square-free list, grown until it holds count entries or
-    more."""
+    """The square-free numbers >= 2, regrown from a table twice as long until
+    they number count or more."""
     cands = _SQUAREFREE
     top = max(64, 2 * (cands[-1] if cands else 0))
     while len(cands) < count:
@@ -349,16 +317,47 @@ def _squarefree_above_one(count: int) -> list[int]:
     return cands
 
 
-def least_squarefree_pr(ctx: PrimeContext) -> int:
-    """The least square-free primitive root mod p."""
-    cands = _SQUAREFREE
+_NONSQUARES: list[int] = []
+
+
+def _nonsquares(count: int) -> list[int]:
+    """The non-squares >= 2, grown until they number count or more: the n-th
+    is n + round(sqrt(n))."""
+    cands = _NONSQUARES
+    cands.extend(n + (1 + math.isqrt(4 * n)) // 2 for n in range(len(cands) + 1, count + 1))
+    return cands
+
+
+# kind -> (grower of its candidate list, k), in ScanRecord's column order:
+# every candidate is m = a^2 b, b square-free, each prime of b <= m^(1/k)
+_KINDS = {
+    "squarefull": (_nonsquare_squarefull, 3),
+    "squarefree": (_squarefree_above_one, 1),
+    "nonsquare": (_nonsquares, 1),
+}
+
+
+def _first_pr(grow, ctx, ceiling: int = SEARCH_CEILING) -> int:
+    """The first primitive root mod ctx.p along the candidate list of grow;
+    ctx supplies .p and .p1_primes."""
     i = 0
     while True:
-        if i == len(cands):
-            _squarefree_above_one(i + 1)
-        if arith.is_primitive_root(cands[i], ctx):
-            return cands[i]
+        m = grow(i + 1)[i]
+        if m > ceiling:
+            raise ArithmeticError(f"no primitive root mod {ctx.p} among the candidates below {ceiling}")
+        if arith.is_primitive_root(m, ctx):
+            return m
         i += 1
+
+
+def least_squarefull_pr(ctx: PrimeContext, ceiling: int = SEARCH_CEILING) -> int:
+    """g_sf(p): the first primitive root along the square-full non-squares."""
+    return _first_pr(_nonsquare_squarefull, ctx, ceiling)
+
+
+def least_squarefree_pr(ctx: PrimeContext) -> int:
+    """The least square-free primitive root mod p."""
+    return _first_pr(_squarefree_above_one, ctx)
 
 
 # -- deterministic sharded scans --------------------------------------------
@@ -387,6 +386,7 @@ CSV_HEADER = "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega"
 
 
 def scan_record(p: int) -> ScanRecord:
+    """The record of one prime by the scalar searches on build_context."""
     ctx = build_context(p)
     return ScanRecord(
         p=p,
@@ -398,66 +398,58 @@ def scan_record(p: int) -> ScanRecord:
 
 
 def _prime_blocks(lo: int, hi: int, block_size: int) -> list[np.ndarray]:
-    """The primes of [lo, hi] as consecutive int64 slices of the sieve."""
+    """The primes of [lo, hi] as consecutive int64 slices of the sieve; hi
+    past what the lanes can square is refused before the sieve runs."""
+    if hi > arith.MAX_INT64_MODULUS:
+        raise ValueError(
+            f"need limit <= {arith.MAX_INT64_MODULUS}: the lane search squares residues in int64"
+        )
     ps = arith.sieve_primes(hi) if hi >= 2 else np.array([], dtype=np.int64)
     ps = ps[ps >= lo]
     return [ps[i : i + block_size] for i in range(0, len(ps), block_size)]
 
 
-def _scan_block(block: np.ndarray) -> list[ScanRecord]:
-    return [scan_record(int(p)) for p in block]
-
-
-# -- least square-full primitive roots of a block, in lanes --------------------
+# -- least primitive roots of a block, in lanes -------------------------------
 #
-# Every candidate is m = a^2 b^3 with b square-free, so for p not dividing m,
-# (m|p) = (b|p), the product of (l|p) over the primes l | b, which quadratic
-# reciprocity gives from p mod 4l. A quadratic residue is never a primitive
-# root, and a non-residue passes the test at q = 2, since 2 | p - 1; only the
-# odd q | p - 1 are left, and they run as int64 lanes, one per (prime,
-# candidate, q). A pass takes the next columns of the head for every prime
-# still open, _LANE_FIRST in the first pass and twice as many in each next,
-# because most primes stop at their first non-residues. The primes still open
-# after the _LANE_HEAD candidates of the head go to least_squarefull_pr.
+# A pass takes the next columns of the head for every prime still open,
+# _LANE_FIRST in the first and twice as many in each next: most primes stop
+# at their first non-residues.
 
 _LANE_HEAD = 512
 _LANE_FIRST = 2
 
 
-@dataclass(frozen=True)
-class _Factored:
-    """What arith.is_primitive_root reads of a context: p and the distinct
-    primes of p - 1."""
-
-    p: int
-    p1_primes: tuple[int, ...]
+# what arith.is_primitive_root reads of a context: p and the distinct primes of p - 1
+_Factored = collections.namedtuple("_Factored", "p p1_primes")
 
 
 @functools.cache
-def _lane_head() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first _LANE_HEAD shared candidates m as int64, the primes l up to
-    their cube root (l | b implies l^3 | m), and the 0/1 matrix
-    [l divides m an odd number of times], i.e. [l | b], one row per l."""
-    cands = np.array(_nonsquare_squarefull(_LANE_HEAD)[:_LANE_HEAD], dtype=np.int64)
-    ells = arith.sieve_primes(max(2, arith.icbrt(int(cands[-1]))))
-    in_b = np.zeros((len(ells), len(cands)), dtype=np.int64)
-    for row, ell in zip(in_b, ells):
-        rest = cands.copy()
-        hit = rest % ell == 0
-        while hit.any():
-            row[hit] ^= 1
-            rest[hit] //= ell
-            hit = rest % ell == 0
+def _lane_head(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first _LANE_HEAD candidates m of kind as int64, the primes l with
+    l^k <= the last of them, and the 0/1 matrix [l divides m an odd number of
+    times], i.e. [l | b], one row per l."""
+    grow, k = _KINDS[kind]
+    cands = np.array(grow(_LANE_HEAD)[:_LANE_HEAD], dtype=np.int64)
+    top = int(cands[-1])
+    ells = arith.sieve_primes(max(2, arith.icbrt(top) if k == 3 else top))
+    rest = np.broadcast_to(cands, (len(ells), len(cands))).copy()
+    in_b = np.zeros_like(rest)
+    hit = rest % ells[:, None] == 0
+    while hit.any():
+        in_b ^= hit
+        rest = np.where(hit, rest // ells[:, None], rest)
+        hit = rest % ells[:, None] == 0
     for a in (cands, ells, in_b):
         a.flags.writeable = False
     return cands, ells, in_b
 
 
-def _lane_search(ps: np.ndarray) -> np.ndarray:
-    """g_sf(p) for every prime p of the ascending int64 block ps (odd primes,
-    each <= arith.MAX_INT64_MODULUS)."""
-    cands, ells, in_b = _lane_head()
-    p1_primes = arith.prime_factors_lanes(ps - 1)
+def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray:
+    """The first primitive root along the candidate list of kind (a key of
+    _KINDS) for every prime p of the ascending int64 block ps (odd primes,
+    each <= arith.MAX_INT64_MODULUS); p1_primes is
+    arith.prime_factors_lanes(ps - 1)."""
+    cands, ells, in_b = _lane_head(kind)
     odd_q = p1_primes[:, 1:]  # column 0 is 2 for every even p - 1
     symbols = np.stack([arith.legendre_lanes(int(ell), ps) for ell in ells], axis=1)
     nonres = (symbols == -1).astype(np.int64)
@@ -480,44 +472,55 @@ def _lane_search(ps: np.ndarray) -> np.ndarray:
         ok = ~one.any(axis=1)
         found, first = np.unique(row[ok], return_index=True)
         g[live[found]] = m[col[ok][first]]
-        keep = np.ones(len(live), dtype=bool)
-        keep[found] = False
-        live = live[keep]
+        live = np.delete(live, found)
         lo = hi
     for i in live:
         row = p1_primes[i]
-        g[i] = least_squarefull_pr(_Factored(int(ps[i]), tuple(row[row > 0].tolist())))
+        g[i] = _first_pr(_KINDS[kind][0], _Factored(int(ps[i]), tuple(row[row > 0].tolist())))
     return g
 
 
-def _hypothesis_block(ps: np.ndarray) -> list[tuple[int, int]]:
-    """(p, g_sf(p)) for the primes of the block with g_sf(p) >= p. The lane
-    result of every such prime, and of CROSS_CHECK_SAMPLE primes drawn by a
-    random.Random seeded from the block's first prime, is derived again by
-    least_squarefull_pr on build_context (factorization by arith.factorize);
-    a disagreement raises ArithmeticError."""
-    g = _lane_search(ps)
-    reported = np.flatnonzero(g >= ps).tolist()
+def _cross_check(ps: np.ndarray, got, reported: list[int], scalar, label: str) -> None:
+    """got[i] == scalar(ps[i]) for every reported index i and the seeded
+    sample of the block, or ArithmeticError."""
     sample = random.Random(f"{int(ps[0])}").sample(range(len(ps)), min(len(ps), CROSS_CHECK_SAMPLE))
     for i in sorted(set(reported) | set(sample)):
         p = int(ps[i])
-        want = least_squarefull_pr(build_context(p))
-        if want != g[i]:
-            raise ArithmeticError(f"g_sf({p}): lane search gives {g[i]}, scalar route {want}")
+        want = scalar(p)
+        if want != got[i]:
+            raise ArithmeticError(f"{label}({p}): lane search gives {got[i]}, scalar route {want}")
+
+
+def _scan_block(ps: np.ndarray) -> list[ScanRecord]:
+    """The ScanRecord of every prime of the block: three lane searches on one
+    factorization of the p - 1, cross-checked by scan_record."""
+    p1_primes = arith.prime_factors_lanes(ps - 1)
+    g_sf, g_free, g = (_lane_search(ps, kind, p1_primes).tolist() for kind in _KINDS)
+    omega = np.count_nonzero(p1_primes, axis=1).tolist()
+    records = [ScanRecord(*fields) for fields in zip(ps.tolist(), g_sf, g_free, g, omega)]
+    reported = [i for i, r in enumerate(records) if r.g_squarefull >= r.p]
+    _cross_check(ps, records, reported, scan_record, "scan_record")
+    return records
+
+
+def _hypothesis_block(ps: np.ndarray) -> list[tuple[int, int]]:
+    """(p, g_sf(p)) for the primes of the block with g_sf(p) >= p,
+    cross-checked by least_squarefull_pr on build_context."""
+    g = _lane_search(ps, "squarefull", arith.prime_factors_lanes(ps - 1))
+    reported = np.flatnonzero(g >= ps).tolist()
+    _cross_check(ps, g, reported, lambda p: least_squarefull_pr(build_context(p)), "g_sf")
     return [(int(ps[i]), int(g[i])) for i in reported]
 
 
 def _run_blocks(worker, blocks, jobs: int, progress=None):
     """Ordered map over blocks; pool only when it pays."""
     results = []
-    if jobs <= 1 or len(blocks) <= 1:
-        for i, b in enumerate(blocks):
-            results.append(worker(b))
-            if progress:
-                progress(i + 1, len(blocks))
-        return results
-    with multiprocessing.get_context("fork").Pool(min(jobs, len(blocks))) as pool:
-        for i, res in enumerate(pool.imap(worker, blocks)):
+    with contextlib.ExitStack() as stack:
+        mapped = map(worker, blocks)
+        if jobs > 1 and len(blocks) > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(min(jobs, len(blocks))))
+            mapped = pool.imap(worker, blocks)
+        for i, res in enumerate(mapped):
             results.append(res)
             if progress:
                 progress(i + 1, len(blocks))
@@ -551,10 +554,6 @@ def hypothesis_scan(
     """All primes p <= limit with g_sf(p) >= p."""
     if limit < 3:
         raise ValueError("need limit >= 3")
-    if limit > arith.MAX_INT64_MODULUS:
-        raise ValueError(
-            f"need limit <= {arith.MAX_INT64_MODULUS}: the lane search squares residues in int64"
-        )
     blocks = _prime_blocks(3, limit, block_size)
     exceptional: list[tuple[int, int]] = []
     for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):

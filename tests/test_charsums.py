@@ -10,20 +10,17 @@ import pytest
 
 from sfpr import arith, charsums, counting, squarefull
 from sfpr.characters import Character, build_context, characters_of_order, principal, quadratic
-from sfpr.charsums import (
-    burgess_ratio,
-    grh_prime_ratio,
-    sum_char_interval,
-    sum_char_prime_powerful,
-    sum_char_primes,
-    sum_char_squarefree,
-    sum_char_squarefull,
-)
+from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import count_by_target
 
 
 def brute_interval(ctx, chi, x):
     return sum(chi(m) for m in range(1, x + 1))
+
+
+def interval_sum(ctx, chi, x):
+    """sum_{m <= x} chi(m) from the prefix the factored routes read."""
+    return complex(charsums._interval_values(ctx, np.array([chi.j]), [x])[0, 0])
 
 
 def power_oracle(ctx, j, ms):
@@ -40,14 +37,11 @@ def power_oracle(ctx, j, ms):
 class TestInterval:
     def test_principal_counts_coprime(self):
         ctx = build_context(7)
-        got = sum_char_interval(ctx, principal(ctx), 20)
-        assert got.value == pytest.approx(18)  # 20 minus floor(20/7)
-        assert got.terms_used == 20
+        assert interval_sum(ctx, principal(ctx), 20) == pytest.approx(18)  # 20 minus floor(20/7)
 
     def test_full_period_vanishes(self):
         ctx = build_context(7)
-        got = sum_char_interval(ctx, Character(ctx, 1), 6)
-        assert abs(got.value) < 1e-12
+        assert abs(interval_sum(ctx, Character(ctx, 1), 6)) < 1e-12
 
     def test_matches_brute(self):
         ctx = build_context(31)
@@ -55,20 +49,19 @@ class TestInterval:
             chi = Character(ctx, j)
             for x in (1, 5, 30, 31, 62, 100, 997):
                 want = brute_interval(ctx, chi, x)
-                assert sum_char_interval(ctx, chi, x).value == pytest.approx(want, abs=1e-9)
+                assert interval_sum(ctx, chi, x) == pytest.approx(want, abs=1e-9)
 
     def test_matches_power_oracle(self):
         ctx = build_context(101)
         for j in (1, 50):
             for x in (10, 101, 250):
-                got = sum_char_interval(ctx, Character(ctx, j), x).value
+                got = interval_sum(ctx, Character(ctx, j), x)
                 assert got == pytest.approx(power_oracle(ctx, j, range(1, x + 1)), abs=1e-9)
 
     def test_bound_by_terms(self):
         ctx = build_context(13)
         for j in range(12):
-            got = sum_char_interval(ctx, Character(ctx, j), 200)
-            assert abs(got.value) <= got.terms_used + 1e-9
+            assert abs(interval_sum(ctx, Character(ctx, j), 200)) <= 200 + 1e-9
 
 
 class TestFrozenRestrictedSums:
@@ -95,13 +88,6 @@ class TestFrozenRestrictedSums:
         for route in ("direct", "factored"):
             got = sum_char_squarefree(ctx, principal(ctx), 10, route=route)
             assert got.value == pytest.approx(6)  # 7 of 7 squarefree minus chi0(7)
-
-    def test_prime_sum_small(self):
-        ctx = build_context(7)
-        got = sum_char_primes(ctx, quadratic(ctx), 10)
-        # legendre over 2,3,5,7: +1,-1,-1,0
-        assert got.value == pytest.approx(-1)
-        assert got.terms_used == 4
 
 
 class TestRouteEquality:
@@ -207,7 +193,6 @@ class TestSymmetries:
             for fn in (
                 lambda c: sum_char_squarefull(ctx, c, 5000, "factored").value,
                 lambda c: sum_char_squarefree(ctx, c, 5000, "factored").value,
-                lambda c: sum_char_interval(ctx, c, 5000).value,
             ):
                 assert fn(bar) == pytest.approx(np.conjugate(fn(chi)), abs=1e-9)
 
@@ -220,36 +205,39 @@ class TestSymmetries:
             assert v.real == pytest.approx(round(v.real), abs=1e-9)
 
 
+def grh_envelope(p, x):
+    return math.sqrt(x) * math.log(p * x) ** 2
+
+
 class TestGauges:
     def test_grh_frozen_example(self):
-        ctx = build_context(7)
-        got = grh_prime_ratio(ctx, quadratic(ctx), 2)
+        # the only prime up to 2 is 2, and (2|7) = +1
+        got = charsums.grh_gauge_max(ps=(7,), xmax=2)
         want = 1 / (math.sqrt(2) * math.log(14) ** 2)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got == pytest.approx(0.101, abs=1e-3)
-
-    def test_burgess_rejects_principal(self):
-        ctx = build_context(101)
-        with pytest.raises(ValueError):
-            burgess_ratio(ctx, principal(ctx), 100, 2)
+        assert (got["p"], got["x"]) == (7, 2)
+        assert got["ratio"] == pytest.approx(want, abs=1e-12)
+        assert got["ratio"] == pytest.approx(0.101, abs=1e-3)
 
     def test_burgess_sane_range(self):
-        ctx = build_context(1009)
-        got = burgess_ratio(ctx, quadratic(ctx), 1000, 2)
-        assert 0 < got < 1
+        got = charsums.burgess_gauge_max(ps=(1009,), rs=(2,), xmax=1000)
+        assert 0 < got["ratio"] < 1
 
     def test_gauge_max_consistency(self):
         # the scanner's reported max must agree with a pointwise re-evaluation
+        # from Legendre symbols, at every x
         best = charsums.burgess_gauge_max(ps=(101,), rs=(2,), xmax=500)
-        ctx = build_context(101)
-        again = burgess_ratio(ctx, quadratic(ctx), best["x"], best["r"])
-        assert best["ratio"] == pytest.approx(again, abs=1e-12)
+        partial = np.cumsum([arith.legendre(m, 101) for m in range(1, 501)])
+        again = [abs(int(partial[x - 1])) / charsums.burgess_envelope(101, x, 2) for x in range(2, 501)]
+        assert best["ratio"] == pytest.approx(max(again), abs=1e-12)
+        assert best["ratio"] == pytest.approx(again[best["x"] - 2], abs=1e-12)
 
     def test_grh_gauge_max_consistency(self):
         best = charsums.grh_gauge_max(ps=(101,), xmax=10**4)
-        ctx = build_context(101)
-        again = grh_prime_ratio(ctx, quadratic(ctx), best["x"])
-        assert best["ratio"] == pytest.approx(again, abs=1e-12)
+        primes = [q for q in range(2, 10**4 + 1) if arith.is_prime(q)]
+        partial = np.cumsum([arith.legendre(q, 101) for q in primes])
+        again = {q: abs(int(s)) / grh_envelope(101, q) for q, s in zip(primes, partial)}
+        assert best["ratio"] == pytest.approx(max(again.values()), abs=1e-12)
+        assert best["ratio"] == pytest.approx(again[best["x"]], abs=1e-12)
 
 
 RESTRICTED = (sum_char_squarefull, sum_char_squarefree, sum_char_prime_powerful)

@@ -303,6 +303,19 @@ def test_hypothesis_limit_past_int64_lanes_fails_fast():
     assert str(arith.MAX_INT64_MODULUS) in proc.stderr
 
 
+def test_scan_to_past_int64_lanes_fails_fast():
+    # the range would otherwise be sieved up to --to first
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfpr", "scan", "--from", "3", "--to", "10000000000", "--jobs", "1"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("sfpr: error: ")
+    assert str(arith.MAX_INT64_MODULUS) in proc.stderr
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 @pytest.mark.parametrize(
     "argv", [("scan", "--from", "3", "--to", "100"), ("hypothesis", "--limit", "200")]

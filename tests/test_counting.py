@@ -30,7 +30,6 @@ from sfpr.counting import (
     least_squarefree_pr,
     least_squarefull_pr,
     pr_decomposition,
-    pr_indicator_charsum,
     scan_range,
     scan_record,
 )
@@ -113,11 +112,24 @@ def oracle_least_squarefree_pr(p):
 # -- indicator --------------------------------------------------------------
 
 
+def indicator(ctx, m):
+    """(phi(n)/n) sum_j w[j] chi_j(m), n = p - 1, with the weights of
+    pr_decomposition and chi_j(m) = exp(2 pi i j ind(m) / n): 1 when m is a
+    primitive root mod p and 0 otherwise, up to float error."""
+    if m % ctx.p == 0:
+        return 0.0
+    n = ctx.p - 1
+    w = pr_decomposition(ctx)
+    js = np.flatnonzero(w)
+    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index(m) % n) / n))
+    return float(total.real) * arith.euler_phi(n) / n
+
+
 def test_indicator_frozen_p7():
     ctx = build_context(7)
-    assert pr_indicator_charsum(ctx, 3) == pytest.approx(1.0, abs=1e-12)
-    assert pr_indicator_charsum(ctx, 2) == pytest.approx(0.0, abs=1e-12)
-    assert pr_indicator_charsum(ctx, 7) == 0.0
+    assert indicator(ctx, 3) == pytest.approx(1.0, abs=1e-12)
+    assert indicator(ctx, 2) == pytest.approx(0.0, abs=1e-12)
+    assert indicator(ctx, 7) == 0.0
 
 
 @given(st.sampled_from([7, 11, 13, 101]), st.integers(min_value=1, max_value=10**6))
@@ -125,7 +137,7 @@ def test_indicator_frozen_p7():
 def test_indicator_matches_order_test(p, m):
     ctx = build_context(p)
     want = 1.0 if m % p and oracle_order(m, p) == p - 1 else 0.0
-    assert pr_indicator_charsum(ctx, m) == pytest.approx(want, abs=1e-9)
+    assert indicator(ctx, m) == pytest.approx(want, abs=1e-9)
 
 
 def test_pr_decomposition_weights_by_order():
@@ -349,13 +361,28 @@ def test_hypothesis_scan_matches_pinned_pairs():
 _LANE_LIMIT = 200_000
 
 
+# kind of the lane search -> its scalar route on a context
+_SCALAR = {
+    "squarefull": least_squarefull_pr,
+    "squarefree": least_squarefree_pr,
+    "nonsquare": lambda ctx: ctx.generator,  # arith.least_primitive_root
+}
+
+
+def _lanes(ps, kind):
+    return counting._lane_search(ps, kind, arith.prime_factors_lanes(ps - 1))
+
+
 def test_lane_search_matches_scalar_route():
+    assert set(_SCALAR) == set(counting._KINDS)
     blocks = counting._prime_blocks(3, _LANE_LIMIT, 4096)
     ps = np.concatenate(blocks)
     assert {3, 5, 7, 17, 257, 65537} <= set(ps.tolist())
-    got = np.concatenate([counting._lane_search(b) for b in blocks])
-    for p, g in zip(ps.tolist(), got.tolist()):
-        assert g == least_squarefull_pr(build_context(p)), p
+    got = {kind: np.concatenate([_lanes(b, kind) for b in blocks]).tolist() for kind in _SCALAR}
+    for i, p in enumerate(ps.tolist()):
+        ctx = build_context(p)
+        for kind, scalar in _SCALAR.items():
+            assert got[kind][i] == scalar(ctx), (kind, p)
 
 
 def test_block_factorization_matches_factorize():
@@ -369,24 +396,36 @@ def test_lane_tail_reached():
     # 1052041 is the largest prime below 1.1e6 whose g_sf exceeds it: its
     # search runs past the lanes' head into the scalar tail
     ps = arith.sieve_primes(1052041)[-3:]
-    got = counting._lane_search(ps).tolist()
+    got = _lanes(ps, "squarefull").tolist()
     assert got == [least_squarefull_pr(build_context(int(p))) for p in ps]
-    assert got[-1] > counting._lane_head()[0][-1]
+    assert got[-1] > counting._lane_head("squarefull")[0][-1]
+
+
+def test_lane_tail_of_every_kind(monkeypatch):
+    # a head of 4 candidates sends most primes of every kind to the tail
+    monkeypatch.setattr(counting, "_LANE_HEAD", 4)
+    monkeypatch.setattr(counting, "_lane_head", functools.cache(counting._lane_head.__wrapped__))
+    ps = arith.sieve_primes(5000)[1:]
+    for kind, scalar in _SCALAR.items():
+        assert len(counting._lane_head(kind)[0]) == 4
+        got = _lanes(ps, kind).tolist()
+        assert got == [scalar(build_context(p)) for p in ps.tolist()], kind
+        assert max(got) > counting._lane_head(kind)[0][-1], kind
 
 
 def test_lane_search_skips_multiples_of_p(monkeypatch):
     # 200 = 5^2 2^3 is a non-residue by its b = 2, (2|5) = -1, yet 0 mod 5
     head = (np.array([200, 8]), np.array([2]), np.array([[1, 1]]))
-    monkeypatch.setattr(counting, "_lane_head", lambda: head)
-    assert counting._lane_search(np.array([5])).tolist() == [8]
+    monkeypatch.setattr(counting, "_lane_head", lambda kind: head)
+    assert _lanes(np.array([5]), "squarefull").tolist() == [8]
 
 
-def _corrupt(monkeypatch, pick):
+def _corrupt(monkeypatch, pick, kind="squarefull"):
     search = counting._lane_search
 
-    def wrong(ps):
-        g = search(ps)
-        i = pick(ps, g)
+    def wrong(ps, which, p1_primes):
+        g = search(ps, which, p1_primes)
+        i = pick(ps, g) if which == kind else None
         if i is not None:
             g[i] += 1
         return g
@@ -400,6 +439,13 @@ def test_corrupt_lane_result_of_sampled_prime_raises(monkeypatch):
     _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None)
     with pytest.raises(ArithmeticError, match="lane search"):
         hypothesis_scan(2000, block_size=16)
+
+
+@pytest.mark.parametrize("kind", ["squarefull", "squarefree", "nonsquare"])
+def test_corrupt_scan_lane_result_raises(monkeypatch, kind):
+    _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None, kind)
+    with pytest.raises(ArithmeticError, match=r"scan_record\(\d+\): lane search"):
+        scan_range(3, 2000, block_size=16)
 
 
 def test_corrupt_lane_result_of_reported_prime_raises(monkeypatch):
@@ -427,10 +473,35 @@ def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
     assert sorted(checked) == sorted(want)
 
 
+def test_scan_cross_check_covers_reported_and_sampled_primes(monkeypatch):
+    checked = []
+    scalar = counting.scan_record
+
+    def record(p):
+        checked.append(p)
+        return scalar(p)
+
+    monkeypatch.setattr(counting, "scan_record", record)
+    records = scan_range(3, _LANE_LIMIT, block_size=4096)
+    want = {r.p for r in records if r.g_squarefull >= r.p}
+    assert {3, 5, 7} <= want
+    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+        rng = random.Random(f"{int(block[0])}")
+        picks = rng.sample(range(len(block)), min(len(block), counting.CROSS_CHECK_SAMPLE))
+        want |= {int(block[i]) for i in picks}
+    assert sorted(checked) == sorted(want)
+
+
 def test_hypothesis_rejects_limit_past_int64_lanes(monkeypatch):
     monkeypatch.setattr(arith, "sieve_primes", lambda n: pytest.fail("sieved"))
     with pytest.raises(ValueError, match=str(arith.MAX_INT64_MODULUS)):
         hypothesis_scan(arith.MAX_INT64_MODULUS + 1)
+
+
+def test_scan_rejects_range_past_int64_lanes(monkeypatch):
+    monkeypatch.setattr(arith, "sieve_primes", lambda n: pytest.fail("sieved"))
+    with pytest.raises(ValueError, match=str(arith.MAX_INT64_MODULUS)):
+        scan_range(arith.MAX_INT64_MODULUS - 100, arith.MAX_INT64_MODULUS + 1)
 
 
 # -- scans ------------------------------------------------------------------
@@ -458,6 +529,14 @@ def test_scan_csv_to_1e5_pinned():
     rows = [CSV_HEADER, *(r.csv_row() for r in scan_range(3, 100_000, jobs=2))]
     digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
     assert digest == "cfe85c7bd96840c359f78fb6b39e4d2fb16643e64c44aa08cb9e072ea2eb9501"
+
+
+def test_scan_csv_to_1e6_pinned():
+    # sha256 of `sfpr scan --from 3 --to 1000000` when every row came from
+    # the scalar searches of scan_record
+    rows = [CSV_HEADER, *(r.csv_row() for r in scan_range(3, 10**6, jobs=2))]
+    digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+    assert digest == "ba6944ed280e0986282a95075e7a9784e454ad5ab0929f41d0c4c970fc937ee7"
 
 
 def test_scan_jobs_independent():
