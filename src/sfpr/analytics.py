@@ -1,10 +1,9 @@
 """Analytic constants and main terms, with certified truncations.
 
-zeta(s) comes from the alternating series accelerated by van Wijngaarden
-averaging, which converges for every s > 0 and passes through s = 2/3
-without special handling. At the four arguments the constants use (2/3, 3/2,
-2, 3) it returns correctly rounded values instead, which the series misses
-by up to 3 ulp.
+zeta(s) is the Hurwitz zeta function at q = 1, by the same Euler-Maclaurin
+sum as the direct C_p route below; it holds for every s > 0, s != 1, and
+passes through s = 2/3 without special handling. At the four arguments the
+constants use (2/3, 3/2, 2, 3) it returns correctly rounded values instead.
 
 The leading constant
 
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,20 +79,17 @@ __all__ = [
     "constants_report",
 ]
 
-_ETA_TERMS = 64
 # Default truncation tolerance for L(3/2, chi2): the tail is then below the
 # rounding of the sum, and the cost grows only like sqrt(log(1/tol)).
 _L_TOL = 1e-15
-# zeta(s) correctly rounded (mpmath at 40 digits, s the float argument);
-# the series is 2 ulp high at s = 3/2 and 3 ulp high at s = 2
+# zeta(s) correctly rounded (mpmath at 40 digits, s the float argument)
 _ZETA_TABLE = {
     2 / 3: -2.447580736233658, 1.5: 2.612375348685488, 2.0: 1.6449340668482264, 3.0: 1.2020569031595942
 }
 
 
-@lru_cache(maxsize=256)
 def zeta(s: float) -> float:
-    """Riemann zeta for s > 0, s != 1, to ~1e-13 absolute; correctly rounded
+    """Riemann zeta for s > 0, s != 1, to ~2e-15 relative; correctly rounded
     at the arguments of _ZETA_TABLE."""
     if s in _ZETA_TABLE:
         return _ZETA_TABLE[s]
@@ -102,16 +97,7 @@ def zeta(s: float) -> float:
         raise ValueError("pole at s = 1")
     if s <= 0:
         raise ValueError("need s > 0")
-    row = []
-    total = 0.0
-    sign = 1.0
-    for k in range(1, _ETA_TERMS + 1):
-        total += sign * k**-s
-        row.append(total)
-        sign = -sign
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) / 2.0 for i in range(len(row) - 1)]
-    return row[0] / (1.0 - 2.0 ** (1.0 - s))
+    return float(_hurwitz_zeta(s, 1.0)[0])
 
 
 @dataclass(frozen=True)
@@ -248,7 +234,8 @@ _EM_COEFFS = tuple(
 
 
 def _hurwitz_zeta(s: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, q) for real s > 1 and q > 0, with a bound on each remainder.
+    """zeta(s, q) for real s > 0, s != 1, and q > 0, with a bound on each
+    remainder.
 
     zeta(s, q) = sum_{k < N} (q+k)^{-s} + w^{1-s}/(s-1) + w^{-s}/2
                  + sum_{j=1}^{M} B_2j / (2j)! (s)_{2j-1} w^{-s-2j+1} + R,

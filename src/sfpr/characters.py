@@ -14,16 +14,15 @@ primitive-root tables fetch the index table before allocating their own. The
 table is built lazily; a context stays lightweight until something asks for
 an index.
 
-Per-character value tables over all p residues are held in a
-least-recently-used cache of CHI_CACHE_SIZE entries per context, so they take
-at most CHI_CACHE_SIZE * 16 p bytes however many characters are visited. Only
-the direct character-sum routes read them, one table per character summed.
+Character values are read in one place, PrimeContext.values: the roots of
+unity gathered at j ind(m) mod p-1 for a matrix of characters j and points m.
+Nothing keeps a per-character table; a caller that needs chi_j over all p
+residues asks for that row and drops it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,26 +36,22 @@ __all__ = [
     "char_eval",
     "characters_of_order",
     "MAX_LOG_P",
-    "CHI_CACHE_SIZE",
 ]
 
 MAX_LOG_P = 1 << 22
-CHI_CACHE_SIZE = 4
 
 
 @dataclass(eq=False)
 class PrimeContext:
     """Fixed data for one modulus: p, the factored p-1, a generator, and
-    lazily-built discrete-log and character-value tables."""
+    lazily-built discrete-log, root-of-unity and residue tables."""
 
     p: int
     generator: int
     p1_factorization: arith.Factorization
-    cache: dict = field(default_factory=dict, repr=False)
 
     _index_table: np.ndarray | None = field(default=None, repr=False)
     _roots: np.ndarray | None = field(default=None, repr=False)
-    _chi_tables: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _qr_signs: np.ndarray | None = field(default=None, repr=False)
     _is_pr: np.ndarray | None = field(default=None, repr=False)
 
@@ -101,7 +96,7 @@ class PrimeContext:
             self._index_table = table
         return self._index_table
 
-    # -- cached tables ------------------------------------------------------
+    # -- tables and character values -----------------------------------------
 
     def roots_of_unity(self) -> np.ndarray:
         """exp(2 pi i k/(p-1)) for k in [0, p-2]."""
@@ -110,20 +105,12 @@ class PrimeContext:
             self._roots = np.exp(2j * np.pi * np.arange(n) / n)
         return self._roots
 
-    def chi_values(self, j: int) -> np.ndarray:
-        """Value table chi_j(r) for residues r in [0, p-1]."""
-        j %= self.p - 1
-        tables = self._chi_tables
-        vals = tables.get(j)
-        if vals is None:
-            ind = self.index_table()
-            vals = np.zeros(self.p, dtype=np.complex128)
-            vals[1:] = self.roots_of_unity()[(j * ind[1:]) % (self.p - 1)]
-            tables[j] = vals
-            if len(tables) > CHI_CACHE_SIZE:
-                tables.popitem(last=False)
-        else:
-            tables.move_to_end(j)
+    def values(self, js, ms) -> np.ndarray:
+        """chi_j(m) for j in js (rows) and m in ms (columns), 0 where p | m."""
+        r = np.asarray(ms, dtype=np.int64) % self.p
+        idx = np.multiply.outer(np.asarray(js, dtype=np.int64), self.index_table()[r])
+        vals = self.roots_of_unity()[np.remainder(idx, self.p - 1, out=idx)]
+        vals[:, np.flatnonzero(r == 0)] = 0
         return vals
 
     def qr_signs(self) -> np.ndarray:
@@ -163,13 +150,6 @@ class Character:
         n = self.ctx.p - 1
         return n // math.gcd(self.j, n)
 
-    @property
-    def is_principal(self) -> bool:
-        return self.j == 0
-
-    def power(self, k: int) -> "Character":
-        return Character(self.ctx, (self.j * k) % (self.ctx.p - 1))
-
     def conjugate(self) -> "Character":
         return Character(self.ctx, (-self.j) % (self.ctx.p - 1))
 
@@ -193,11 +173,7 @@ def build_context(p: int) -> PrimeContext:
 
 
 def char_eval(chi: Character, m: int) -> complex:
-    ctx = chi.ctx
-    r = m % ctx.p
-    if r == 0:
-        return 0j
-    return complex(ctx.chi_values(chi.j)[r])
+    return complex(chi.ctx.values([chi.j], [m % chi.ctx.p])[0, 0])
 
 
 def characters_of_order(ctx: PrimeContext, d: int) -> list[Character]:

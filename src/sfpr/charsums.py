@@ -16,18 +16,18 @@ check; tests and the verify suite exercise it on randomized inputs.
 The restricted sums take one Character, or a sequence of k characters of one
 context and then return k values in one pass. A factored sum is one numpy
 pass over its outer variable (d, b or r) for all k characters: the (k, n)
-matrix of character values at those points (_values_at) times the (k, n)
-matrix of inner interval or prime sums at the matching bounds
-(_interval_values), summed along each row. Values are read from the
-discrete-log table as roots of unity, without a per-character table.
-Interval sums come from one prefix per character: over 1..max(x) when every
-bound is below p, otherwise over a single period extended by periodicity. The
-prefixes are built in place, a block of rows of at most p entries at a time,
-and not cached: near MAX_LOG_P each row is 64 MB. A direct sum takes the
-family's walk histogram (squarefull.*_walk: the members counted by residue
-class mod p) and dots it with the per-character value table, one table per
-character. Every route reads discrete logs, so every sum here raises
-ValueError for p > characters.MAX_LOG_P.
+matrix of character values at those points (PrimeContext.values) times the
+(k, n) matrix of inner interval or prime sums at the matching bounds
+(_interval_values), summed along each row. Interval sums come from one
+prefix per character: over 1..max(x) when every bound is below p, otherwise
+over a single period extended by periodicity. The prefixes are built in
+place, a block of rows of at most p entries at a time, and not cached: near
+MAX_LOG_P each row is 64 MB. A direct sum takes the family's walk histogram
+(squarefull.*_walk: the members counted by residue class mod p) and dots it
+with each character's values over the p residues, one row of
+PrimeContext.values at a time, so it holds O(p) values. Every route reads
+discrete logs, so every sum here raises ValueError for p >
+characters.MAX_LOG_P.
 
 The gauges (burgess_gauge_max, grh_gauge_max) read no logs: they take the
 Legendre symbols of the quadratic character as exact integer partial sums.
@@ -70,15 +70,6 @@ def _primes_cached(limit: int) -> np.ndarray:
     return arith.sieve_primes(limit)
 
 
-def _values_at(ctx: PrimeContext, js: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """chi_j(m) for j in js (rows) and m in ms (columns), 0 where p | m."""
-    r = np.asarray(ms, dtype=np.int64) % ctx.p
-    idx = np.multiply.outer(js, ctx.index_table()[r])
-    vals = ctx.roots_of_unity()[np.remainder(idx, ctx.p - 1, out=idx)]
-    vals[:, r == 0] = 0
-    return vals
-
-
 def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_{m <= x} chi_j(m) for j in js (rows) and x >= 0 in xs (columns).
     The prefixes over 0..span-1, span = min(max(xs) + 1, p), are built in
@@ -107,8 +98,8 @@ def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.nd
 
 def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
     """One restricted sum of chi (a Character or a sequence of them) by the
-    direct route (the walk histogram dotted with each value table) or the
-    factored one."""
+    direct route (the walk histogram dotted with each character's values) or
+    the factored one."""
     if x < 1:
         raise ValueError("need x >= 1")
     ctx.index_table()  # refuses p > MAX_LOG_P before anything of length x
@@ -118,7 +109,8 @@ def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
     js = np.array([c.j for c in chars], dtype=np.int64)
     if route == "direct":
         h = walk(ctx.p, x)
-        values = np.array([np.dot(h, ctx.chi_values(j)) for j in js.tolist()], dtype=np.complex128)
+        residues = np.arange(ctx.p)
+        values = np.array([np.dot(h, ctx.values([j], residues)[0]) for j in js], dtype=np.complex128)
         terms = int(h.sum())
     elif route == "factored":
         values, terms = factored(ctx, js, x)
@@ -139,7 +131,7 @@ def sum_char_squarefull(
 def _squarefull_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
     n = ctx.p - 1
     b, amax = squarefull.squarefull_runs(x)
-    outer = _values_at(ctx, 3 * js % n, b)
+    outer = ctx.values(3 * js % n, b)
     return (outer * _interval_values(ctx, 2 * js % n, amax)).sum(axis=1), int(amax.sum())
 
 
@@ -154,7 +146,7 @@ def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.
     mu = arith.mobius_table(math.isqrt(x))
     d = np.flatnonzero(mu)
     inner_x = x // (d * d)
-    outer = mu[d] * _values_at(ctx, js, d * d)
+    outer = mu[d] * ctx.values(js, d * d)
     return (outer * _interval_values(ctx, js, inner_x)).sum(axis=1), int(inner_x.sum())
 
 
@@ -173,8 +165,8 @@ def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple
     qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
     k = np.searchsorted(primes, qmax, side="right")
     cum = np.zeros((len(js), len(primes) + 1), dtype=np.complex128)
-    np.cumsum(_values_at(ctx, 2 * js % n, primes), axis=1, out=cum[:, 1:])
-    return (_values_at(ctx, 3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())
+    np.cumsum(ctx.values(2 * js % n, primes), axis=1, out=cum[:, 1:])
+    return (ctx.values(3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())
 
 
 # -- empirical envelope gauges ----------------------------------------------

@@ -39,21 +39,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("SFPR_JOBS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _jobs(args) -> int:
     if args.jobs is None:
-        return _default_jobs()
+        return os.cpu_count() or 1
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     return args.jobs
@@ -100,7 +88,9 @@ def _parse_grid(spec: str) -> list[int]:
 def cmd_count(args) -> int:
     ctx = build_context(args.p)
     rep = count_by_target(ctx, args.x, args.target, args.method)
-    _emit(_json(asdict(rep)), args.out)
+    # the wall-clock fields would make stdout differ between identical runs
+    payload = {k: v for k, v in asdict(rep).items() if not k.startswith("elapsed_")}
+    _emit(_json(payload), args.out)
     if rep.residual is not None and rep.residual > args.tolerance * max(1, rep.characters_used):
         print(f"{PROG}: residual {rep.residual} exceeds tolerance", file=sys.stderr)
         return 2

@@ -106,17 +106,15 @@ def pr_decomposition(ctx: PrimeContext) -> np.ndarray:
     """Weights w[j], j in [0, p-2], of the primitive-root indicator
     (phi(n)/n) sum_j w[j] chi_j(m): mu(d)/phi(d) for chi_j of square-free
     order d, 0 otherwise."""
-    w = ctx.cache.get("pr_decomposition")
-    if w is None:
-        n = ctx.p - 1
-        by_gcd = np.zeros(n + 1)  # chi_j has order n / gcd(j, n)
-        for d in arith.divisors(n):
-            mu = arith.mobius(d)
-            if mu:
-                by_gcd[n // d] = mu / arith.euler_phi(d)
-        w = by_gcd[np.gcd(np.arange(n, dtype=np.int64), n)]
-        ctx.cache["pr_decomposition"] = w
-    return w
+    n = ctx.p - 1
+    # the square-free d | n with mu(d) and phi(d), one prime of n at a time
+    terms = [(1, 1, 1)]
+    for q in ctx.p1_primes:
+        terms += [(d * q, -mu, phi * (q - 1)) for d, mu, phi in terms]
+    by_gcd = np.zeros(n + 1)  # chi_j has order n / gcd(j, n)
+    for d, mu, phi in terms:
+        by_gcd[n // d] = mu / phi
+    return by_gcd[np.gcd(np.arange(n, dtype=np.int64), n)]
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,7 @@ class CountReport:
     charsum_value: float | None
     residual: float | None
     characters_used: int
+    # wall-clock seconds of each route; the CLI leaves them out of its JSON
     elapsed_brute: float | None
     elapsed_charsum: float | None
 

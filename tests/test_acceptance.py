@@ -15,12 +15,11 @@ FIRST_RUN holds regression pins from the implementer's first oracle run
 """
 
 import math
-import random
 import time
 
 import pytest
 
-from sfpr import arith
+from sfpr import arith, verify
 from sfpr.analytics import (
     compute_Cp,
     corollary_constants,
@@ -29,18 +28,10 @@ from sfpr.analytics import (
     squarefull_charsum_main_term,
     squarefull_pr_main_term,
 )
-from sfpr.characters import Character, build_context
-from sfpr.charsums import (
-    burgess_gauge_max,
-    grh_gauge_max,
-    sum_char_prime_powerful,
-    sum_char_squarefree,
-    sum_char_squarefull,
-)
+from sfpr.characters import build_context
+from sfpr.charsums import burgess_gauge_max, grh_gauge_max
 from sfpr.cli import main as cli_main
 from sfpr.counting import (
-    FAMILIES,
-    count_by_target,
     hypothesis_scan,
     least_squarefree_pr,
     least_squarefull_pr,
@@ -58,55 +49,32 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def test_criterion_1_counting_identity():
+@pytest.fixture(scope="module")
+def identity_suite():
+    """The verify identity suite: charsum-vs-brute counts of every family
+    at every odd p < 200 and x in {1e2, 1e3, 1e4} (a failure is a residual
+    of 1e-6 or more), then 100 seeded draws of (p < 1e4, chi, x <= 1e6)
+    with factored-vs-direct sums of every family (a failure is a relative
+    gap of 1e-9 or more)."""
     t0 = time.time()
-    cases = 0
-    max_residual = 0.0
-    for p in (int(q) for q in arith.sieve_primes(199)[1:]):
-        ctx = build_context(p)
-        for x in (10**2, 10**3, 10**4):
-            for family in FAMILIES:
-                rep = count_by_target(ctx, x, family)
-                cases += 1
-                max_residual = max(max_residual, rep.residual)
-    ok = max_residual < 1e-6
-    _verdict(
-        1,
-        ok,
-        f"charsum-vs-brute identity: {cases} cases, max residual "
-        f"{max_residual:.3e}, {time.time() - t0:.1f}s",
+    rep = verify.run_identity_suite(seed=987654321)
+    return rep, time.time() - t0
+
+
+def _identity_detail(identity_suite) -> str:
+    rep, elapsed = identity_suite
+    return (
+        f"verify identity suite (counts and sums): {rep['cases']} cases, {rep['failures']} failures, "
+        f"max residual {rep['max_residual']:.3e}, {elapsed:.1f}s"
     )
 
 
-def test_criterion_2_factored_sums():
-    rng = random.Random(987654321)
-    ps = [int(p) for p in arith.sieve_primes(10**4)[1:]]
-    fns = {
-        "squarefull": sum_char_squarefull,
-        "S": sum_char_prime_powerful,
-        "squarefree": sum_char_squarefree,
-    }
-    worst = 0.0
-    cases = 0
-    t0 = time.time()
-    for _ in range(100):
-        p = rng.choice(ps)
-        ctx = build_context(p)
-        chi = Character(ctx, rng.randrange(p - 1))
-        x = rng.randrange(1, 10**6 + 1)
-        for family, fn in fns.items():
-            direct = fn(ctx, chi, x, route="direct").value
-            factored = fn(ctx, chi, x, route="factored").value
-            rel = abs(factored - direct) / max(1.0, abs(direct))
-            worst = max(worst, rel)
-            cases += 1
-    ok = worst < 1e-9
-    _verdict(
-        2,
-        ok,
-        f"factored-vs-direct sums: {cases} cases, worst relative "
-        f"{worst:.3e}, {time.time() - t0:.1f}s",
-    )
+def test_criterion_1_counting_identity(identity_suite):
+    _verdict(1, identity_suite[0]["failures"] == 0, "charsum-vs-brute identity, " + _identity_detail(identity_suite))
+
+
+def test_criterion_2_factored_sums(identity_suite):
+    _verdict(2, identity_suite[0]["failures"] == 0, "factored-vs-direct sums, " + _identity_detail(identity_suite))
 
 
 def _oracle_order(a, p):

@@ -112,10 +112,10 @@ class TestContext:
         ctx = build_context(4194319)
         assert ctx.p > characters.MAX_LOG_P
         for read in (ctx.index_table, lambda: ctx.index(2), ctx.is_pr_table,
-                     lambda: ctx.chi_values(1), lambda: char_eval(Character(ctx, 1), 2)):
+                     lambda: ctx.values([1], [2]), lambda: char_eval(Character(ctx, 1), 2)):
             with pytest.raises(ValueError, match=f"MAX_LOG_P = {characters.MAX_LOG_P}"):
                 read()
-        assert ctx._index_table is None and ctx._roots is None and not ctx._chi_tables
+        assert ctx._index_table is None and ctx._roots is None
 
     def test_is_pr_table(self):
         ctx = build_context(13)
@@ -188,15 +188,20 @@ class TestCharacterValues:
             euler = 1 if pow(m, (p - 1) // 2, p) == 1 else -1
             assert char_eval(chi2, m) == pytest.approx(euler, abs=1e-12)
 
-    def test_table_cache_bounded(self):
+    def test_no_table_per_character(self):
         ctx = build_context(101)
         g = ctx.generator
         for j in range(100):
-            vals = ctx.chi_values(j)
-            assert vals[g] == pytest.approx(cmath.exp(2j * cmath.pi * j / 100))
-            assert len(ctx._chi_tables) <= characters.CHI_CACHE_SIZE
-        # the most recently used tables survive: same objects, not rebuilt
-        assert ctx.chi_values(99) is ctx.chi_values(99)
+            want = cmath.exp(2j * cmath.pi * j / 100)
+            assert char_eval(Character(ctx, j), g) == pytest.approx(want)
+        # values are gathered on demand: nothing of length p stays behind,
+        # neither as an attribute nor inside a container the context holds
+        held = []
+        for v in vars(ctx).values():
+            held.extend(v.values() if isinstance(v, dict) else [v])
+        assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype.kind == "c" and len(v) == ctx.p]
+        want = np.exp(2j * np.pi * np.arange(100) / 100)
+        assert np.allclose(ctx.values(np.arange(100), [g])[:, 0], want, rtol=0, atol=1e-12)
 
 
 class TestOrderClasses:

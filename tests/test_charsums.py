@@ -171,17 +171,26 @@ class TestLargeModulus:
     P = 1048573
 
     @pytest.mark.parametrize("x", [300_000, 1_100_000])
-    def test_factored_equals_direct(self, x):
+    def test_factored_equals_direct(self, x, monkeypatch):
         ctx = build_context(self.P)
         chi = Character(ctx, random.Random(x).randrange(1, self.P - 1))
+        widths = []  # points per row of each character-value gather
+        read = ctx.values
+
+        def gather(js, ms):
+            widths.append(len(ms))
+            return read(js, ms)
+
+        monkeypatch.setattr(ctx, "values", gather)
         factored = {}
         for fn, _ in FACTORED_TERMS:
             factored[fn] = fn(ctx, chi, x, "factored").value
         if x < self.P:
-            assert len(ctx._chi_tables) == 0
+            assert 0 < max(widths) < self.P
         for fn, value in factored.items():
             direct = fn(ctx, chi, x, "direct").value
             assert abs(value - direct) <= 1e-9 * max(1.0, abs(direct)), fn
+        assert max(widths) == self.P  # the direct rows are read through the same gather
 
 
 class TestSymmetries:

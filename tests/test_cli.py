@@ -12,7 +12,7 @@ import pytest
 import sfpr
 from sfpr import arith
 from sfpr.characters import MAX_LOG_P
-from sfpr.cli import _default_jobs, _parse_grid, main
+from sfpr.cli import _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +87,15 @@ def test_count_basic(capsys):
     assert rep["brute_count"] == 1
     assert rep["residual"] < 1e-6
     assert rep["p"] == 7 and rep["x"] == 108
+
+
+def test_count_stdout_deterministic(capsys):
+    # two identical runs print the same bytes: no wall-clock fields
+    argv = ("count", "--p", "101", "--x", "10000", "--target", "squarefree")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv)[1] == out
+    assert not any(k.startswith("elapsed") for k in json.loads(out))
 
 
 def test_count_bad_modulus(capsys):
@@ -465,15 +474,6 @@ def test_verify_constants_progress(capsys):
 
 
 # -- plumbing ----------------------------------------------------------------
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("SFPR_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("SFPR_JOBS", "junk")
-    assert _default_jobs() >= 1
-    monkeypatch.delenv("SFPR_JOBS")
-    assert _default_jobs() >= 1
 
 
 def test_module_entrypoint():
