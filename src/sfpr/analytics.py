@@ -398,7 +398,7 @@ def _breakdown(ctx, x, target, leading, secondary, prefactor, exact, envelope):
         exact=exact,
         relative_error=rel,
         residual=residual,
-        residual_scaled=residual / envelope,
+        residual_scaled=residual / envelope if envelope != 0 else math.nan,
     )
 
 

@@ -12,7 +12,9 @@ below it holds the table, the primitive-root table and the family's FFT in
 well under 1 GB. Above it index_table raises ValueError, and the value and
 primitive-root tables fetch the index table before allocating their own. The
 table is built lazily; a context stays lightweight until something asks for
-an index.
+an index. The Legendre-symbol table needs no logs and serves p up to
+MAX_QR_P = 2^24, where the constants report built on it peaks under 1 GB;
+above it qr_signs raises ValueError before allocating anything.
 
 Character values are read in one place, PrimeContext.values: the roots of
 unity gathered at j ind(m) mod p-1 for a matrix of characters j and points m.
@@ -36,9 +38,11 @@ __all__ = [
     "char_eval",
     "characters_of_order",
     "MAX_LOG_P",
+    "MAX_QR_P",
 ]
 
 MAX_LOG_P = 1 << 22
+MAX_QR_P = 1 << 24
 
 
 @dataclass(eq=False)
@@ -116,7 +120,12 @@ class PrimeContext:
     def qr_signs(self) -> np.ndarray:
         """Legendre-symbol table over residues as int8; built from squares,
         independent of the discrete log. The squares of 1..(p-1)/2 are
-        distinct mod p, so no deduplication is needed."""
+        distinct mod p, so no deduplication is needed. Raises ValueError for
+        p > MAX_QR_P before allocating anything."""
+        if self.p > MAX_QR_P:
+            raise ValueError(
+                f"residue tables need p <= MAX_QR_P = {MAX_QR_P} (1 GB budget), got {self.p}"
+            )
         if self._qr_signs is None:
             p = self.p
             k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)

@@ -3,7 +3,9 @@
 Subcommands: count, least, scan, hypothesis, constants, profile, verify.
 CSV goes to tabular scans, JSON to single-query reports. Progress lines go
 to stderr only; stdout stays pipeline-clean and byte-deterministic for a
-fixed invocation regardless of worker count.
+fixed invocation regardless of worker count and core count: numpy's BLAS
+runs on one thread in every sfpr process, and the --jobs pool is the only
+parallelism.
 
 Exit codes: 0 success, 1 usage or domain error or out of memory, 2
 verification failure.
@@ -16,6 +18,11 @@ import json
 import os
 import sys
 from dataclasses import asdict
+
+# numpy starts one BLAS thread per core when it is first imported, which is in
+# the imports below; sfpr's only parallelism is the --jobs pool, so pin first
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .analytics import constants_report, main_term_by_target
 from .characters import build_context
@@ -41,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _jobs(args) -> int:
     if args.jobs is None:
+        # the CPUs this process may run on, not every CPU of the machine
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -173,11 +183,11 @@ def build_parser() -> _Parser:
     sp = add("scan", cmd_scan, help="least-element records for every prime in a range")
     sp.add_argument("--from", dest="from_", type=int, required=True)
     sp.add_argument("--to", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None, help="workers (default: all cores)")
+    sp.add_argument("--jobs", type=int, default=None, help="workers (default: usable CPUs)")
 
     sp = add("hypothesis", cmd_hypothesis, help="primes p with g_squarefull(p) >= p")
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None, help="workers (default: all cores)")
+    sp.add_argument("--jobs", type=int, default=None, help="workers (default: usable CPUs)")
 
     sp = add("constants", cmd_constants, help="analytic constants report for one prime")
     sp.add_argument("--p", type=int, required=True)

@@ -11,7 +11,7 @@ import pytest
 
 import sfpr
 from sfpr import arith
-from sfpr.characters import MAX_LOG_P
+from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
 
 
@@ -21,18 +21,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, **blas):
     """`python -m sfpr argv` in a child that imports the same sfpr package
     as this process, however pytest put it on sys.path."""
     return subprocess.run(
         [sys.executable, "-m", "sfpr", *argv],
-        capture_output=True, text=True, timeout=120, env=_child_env(),
+        capture_output=True, text=True, timeout=120, env=_child_env(**blas),
     )
 
 
-def _child_env():
+def _child_env(**blas):
+    """This process's environment with the imported sfpr on PYTHONPATH and
+    no BLAS thread setting (importing sfpr.cli here set one), apart from
+    the `blas` variables given."""
     src = str(Path(sfpr.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(env, **blas)
 
 
 # A child's ru_maxrss starts from the high-water RSS of the process that
@@ -157,13 +162,13 @@ def test_count_large_modulus_budget(tmp_path, argv):
     assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
 
 
-def _assert_fails_fast(tmp_path, argv):
+def _assert_fails_fast(tmp_path, argv, bound=f"MAX_LOG_P = {MAX_LOG_P}"):
     code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=5)
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1
-    assert err.startswith("sfpr: error: ") and f"MAX_LOG_P = {MAX_LOG_P}" in err
+    assert err.startswith("sfpr: error: ") and bound in err
     # nothing p-length is allocated: the interpreter and numpy take about 31 MB
     assert rss_mb <= 64, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
 
@@ -204,15 +209,15 @@ def test_count_large_x_charsum_budget(tmp_path, target, x):
 def test_count_out_of_memory_is_clean():
     # the square-free table of x = 1e13 needs 9 TiB, of x = 2e9 2 GB; under a
     # 1 GB address-space cap both fail to allocate, whatever the machine has
-    # numpy and sfpr are imported before the cap, with one BLAS thread, so
-    # that only the command's own allocation meets it
+    # numpy and sfpr are imported before the cap (sfpr.cli starts numpy with
+    # one BLAS thread), so that only the command's own allocation meets it
     code = (
         "import resource, sys\n"
         "from sfpr.cli import main\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = _child_env()
     for x in ("10000000000000", "2000000000"):
         argv = ["count", "--p", "101", "--x", x, "--target", "squarefree", "--method", "brute"]
         proc = subprocess.run(
@@ -336,6 +341,23 @@ def test_bad_jobs_rejected(capsys, argv, jobs):
     assert err == f"sfpr: error: --jobs must be at least 1, got {jobs}\n"
 
 
+def test_default_jobs_is_usable_cpus():
+    # a process pinned to one CPU gets one worker, however many the machine has
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity on this platform")
+    code = (
+        "import argparse, os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from sfpr.cli import _jobs\n"
+        "print(_jobs(argparse.Namespace(jobs=None)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
 # -- constants ---------------------------------------------------------------
 
 
@@ -362,6 +384,13 @@ def test_constants_bad_tolerance(capsys):
     code, _, err = run_cli(capsys, "constants", "--p", "7", "--tolerance", "-1")
     assert code == 1
     assert "tolerance must be positive" in err
+
+
+def test_constants_past_max_qr_p_fails_fast(tmp_path):
+    # 16777259 is the first prime past MAX_QR_P = 2^24; the residue table
+    # and the direct C_p route would take about 36 bytes per unit of p
+    assert MAX_QR_P == 1 << 24
+    _assert_fails_fast(tmp_path, ["constants", "--p", "16777259"], f"MAX_QR_P = {MAX_QR_P}")
 
 
 # -- profile -----------------------------------------------------------------
@@ -429,6 +458,21 @@ def test_profile_lemma22_case(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--target", "thm1"), ("--target", "lemma22", "--method", "quadratic")],
+)
+def test_profile_zero_envelope_at_x_one(capsys, argv):
+    # both envelopes have a factor of log x, so residual_scaled is NaN at
+    # x = 1, as relative_error is where the prediction is 0
+    code, out, err = run_cli(capsys, "profile", "--p", "101", *argv, "--x-grid", "1:100:10")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "10", "100"]
+    assert rows[0][4] == "nan"
+    assert all(math.isfinite(float(r[4])) for r in rows[1:])
+
+
 def test_profile_unknown_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["profile", "--p", "7", "--target", "thm99", "--x-grid", "1e2:1e3:10"])
@@ -494,3 +538,37 @@ def test_usage_error_exit_code():
     proc = run_module("count", "--p", "7")
     assert proc.returncode == 1  # missing --x
     assert "--x" in proc.stderr
+
+
+def _thread_count(code, **blas):
+    """(threads, OPENBLAS_NUM_THREADS) of a child once it has run `code`."""
+    report = "import os; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True, text=True, timeout=60, env=_child_env(**blas),
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.split()
+    return int(threads), setting
+
+
+def test_cli_pins_one_blas_thread():
+    # numpy's BLAS would start a thread per usable CPU; sfpr's only
+    # parallelism is the --jobs pool, so importing the CLI leaves one
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc")
+    cpus = len(os.sched_getaffinity(0))
+    assert _thread_count("import sfpr.cli") == (1, "1")
+    if cpus > 1:
+        assert _thread_count("import numpy")[0] > 1
+    # a setting the user exported is kept
+    assert _thread_count("import sfpr.cli", OPENBLAS_NUM_THREADS="2") == (min(cpus, 2), "2")
+
+
+def test_count_stdout_independent_of_blas_threads():
+    # at p - 1 >= 1e4 a multithreaded BLAS splits the factored sums' dot
+    # products by thread, which changes their rounding
+    argv = ("count", "--p", "100003", "--x", "1000000", "--target", "squarefree", "--method", "charsum")
+    default, one = run_module(*argv), run_module(*argv, OPENBLAS_NUM_THREADS="1")
+    assert (default.returncode, one.returncode) == (0, 0), default.stderr + one.stderr
+    assert default.stdout == one.stdout
