@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .characters import PrimeContext, quadratic
+from .characters import PrimeContext
 from .charsums import sum_char_squarefull
 from .counting import count_by_target
 
@@ -441,22 +441,20 @@ def squarefull_charsum_main_term(
     p = ctx.p
     denom = zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2)
     if case == "principal":
-        from .characters import principal
-
         leading = zeta(1.5) * (1.0 - p**-1.5) / denom * math.sqrt(x)
         secondary = (
             zeta(2.0 / 3.0) / zeta(2.0) * (1.0 - p ** (-2.0 / 3.0)) / (1.0 + 1.0 / p) * x ** (1.0 / 3.0)
         )
-        chi = principal(ctx)
+        j = 0
         env = x ** (1.0 / 6.0 + 0.01)
     elif case == "quadratic":
         leading = L_quadratic(ctx).value / denom * math.sqrt(x)
         secondary = 0.0
-        chi = quadratic(ctx)
+        j = (p - 1) // 2
         env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
     else:
         raise ValueError(f"unknown case {case!r}")
-    raw = sum_char_squarefull(ctx, chi, x, route="direct").value
+    raw = sum_char_squarefull(ctx, [j], x, route="direct").value[0]
     exact = round(raw.real)
     if abs(raw.real - exact) > 1e-6 or abs(raw.imag) > 1e-9:
         raise ArithmeticError(f"non-integral character sum {raw}")

@@ -1,9 +1,11 @@
 """Dirichlet characters mod an odd prime p, represented by exponent index.
 
-A character is a pair (context, j) with 0 <= j <= p-2: writing m = g^k for the
-context's fixed least primitive root g, chi_j(m) = exp(2 pi i j k / (p-1)), and
+A character is its index j, 0 <= j <= p-2, against the context's fixed least
+primitive root g: writing m = g^k, chi_j(m) = exp(2 pi i j k / (p-1)), and
 chi_j(m) = 0 when p | m. j = 0 is the principal character, j = (p-1)/2 the
-quadratic one (it coincides with the Legendre symbol).
+quadratic one (it coincides with the Legendre symbol); chi_j has order
+(p-1)/gcd(j, p-1), and its conjugate is chi_{-j mod p-1}. Every layer
+computes with integer arrays of such indices; there is no character object.
 
 Discrete logs come from one full lookup table, filled in numpy blocks of
 about sqrt(p) consecutive powers of the generator, for every p up to
@@ -31,15 +33,7 @@ import numpy as np
 
 from . import arith
 
-__all__ = [
-    "PrimeContext",
-    "Character",
-    "build_context",
-    "char_eval",
-    "characters_of_order",
-    "MAX_LOG_P",
-    "MAX_QR_P",
-]
+__all__ = ["PrimeContext", "build_context", "MAX_LOG_P", "MAX_QR_P"]
 
 MAX_LOG_P = 1 << 22
 MAX_QR_P = 1 << 24
@@ -65,16 +59,10 @@ class PrimeContext:
 
     # -- discrete logarithm -------------------------------------------------
 
-    def index(self, m: int) -> int:
-        """k with generator^k = m (mod p), 0 <= k <= p-2."""
-        r = m % self.p
-        if r == 0:
-            raise ValueError("index undefined for multiples of p")
-        return int(self.index_table()[r])
-
     def index_table(self) -> np.ndarray:
-        """ind[r] = index(r) for residues r in [1, p-1], ind[0] = 0. Raises
-        ValueError for p > MAX_LOG_P before allocating anything."""
+        """ind[r] = k with generator^k = r (mod p), 0 <= k <= p-2, for
+        residues r in [1, p-1], and ind[0] = 0. Raises ValueError for p >
+        MAX_LOG_P before allocating anything."""
         if self.p > MAX_LOG_P:
             raise ValueError(
                 f"discrete logs need p <= MAX_LOG_P = {MAX_LOG_P} (1 GB budget), got {self.p}"
@@ -149,23 +137,6 @@ class PrimeContext:
         return self._is_pr
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
-    ctx: PrimeContext
-    j: int
-
-    @property
-    def order(self) -> int:
-        n = self.ctx.p - 1
-        return n // math.gcd(self.j, n)
-
-    def conjugate(self) -> "Character":
-        return Character(self.ctx, (-self.j) % (self.ctx.p - 1))
-
-    def __call__(self, m: int) -> complex:
-        return char_eval(self, m)
-
-
 def build_context(p: int) -> PrimeContext:
     """Context for an odd prime modulus, 3 <= p < 2^63."""
     if p < 3 or p >= 1 << 63:
@@ -180,24 +151,3 @@ def build_context(p: int) -> PrimeContext:
         p1_factorization=p1,
     )
 
-
-def char_eval(chi: Character, m: int) -> complex:
-    return complex(chi.ctx.values([chi.j], [m % chi.ctx.p])[0, 0])
-
-
-def characters_of_order(ctx: PrimeContext, d: int) -> list[Character]:
-    """The phi(d) characters of exact order d, ascending by index j."""
-    n = ctx.p - 1
-    if d < 1 or n % d != 0:
-        raise ValueError("order must divide p-1")
-    step = n // d
-    js = sorted(step * k for k in range(d) if math.gcd(k, d) == 1)
-    return [Character(ctx, j) for j in js]
-
-
-def principal(ctx: PrimeContext) -> Character:
-    return Character(ctx, 0)
-
-
-def quadratic(ctx: PrimeContext) -> Character:
-    return Character(ctx, (ctx.p - 1) // 2)

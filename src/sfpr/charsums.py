@@ -13,20 +13,20 @@ set and adds character values. "factored" rewrites the sum exactly:
 Route equality is an exact identity, so the pair doubles as a correctness
 check; tests and the verify suite exercise it on randomized inputs.
 
-The restricted sums take one Character, or a sequence of k characters of one
-context and then return k values in one pass. A factored sum is one numpy
-pass over its outer variable (d, b or r) for all k characters: the (k, n)
-matrix of character values at those points (PrimeContext.values) times the
-(k, n) matrix of inner interval or prime sums at the matching bounds
-(_interval_values), summed along each row. Interval sums come from one
-prefix per character: over 1..max(x) when every bound is below p, otherwise
-over a single period extended by periodicity. The prefixes are built in
-place, a block of rows of at most p entries at a time, and not cached: near
-MAX_LOG_P each row is 64 MB. A direct sum takes the family's walk histogram
-(squarefull.*_walk: the members counted by residue class mod p) and dots it
-with each character's values over the p residues, one row of
-PrimeContext.values at a time, so it holds O(p) values. Every route reads
-discrete logs, so every sum here raises ValueError for p >
+The restricted sums take a context and a sequence of k character indices js
+(see sfpr.characters) and return the k sums as one array, in one pass. A
+factored sum is one numpy pass over its outer variable (d, b or r) for all k
+characters: the (k, n) matrix of character values at those points
+(PrimeContext.values) times the (k, n) matrix of inner interval or prime
+sums at the matching bounds (_interval_values), summed along each row.
+Interval sums come from one prefix per character: over 1..max(x) when every
+bound is below p, otherwise over a single period extended by periodicity.
+The prefixes are built in place, a block of rows of at most p entries at a
+time, and not cached: near MAX_LOG_P each row is 64 MB. A direct sum takes
+the family's walk histogram (squarefull.*_walk: the members counted by
+residue class mod p) and dots it with each character's values over the p
+residues, one row of PrimeContext.values at a time, so it holds O(p) values.
+Every route reads discrete logs, so every sum here raises ValueError for p >
 characters.MAX_LOG_P.
 
 The gauges (burgess_gauge_max, grh_gauge_max) read no logs: they take the
@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import arith, squarefull
-from .characters import Character, PrimeContext
+from .characters import PrimeContext
 
 __all__ = [
     "SumResult",
@@ -57,10 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SumResult:
-    """value is one complex number for one Character and an array of k for
-    a sequence of k characters; terms_used counts the terms of all k."""
+    """value holds the k sums of k character indices, in their order;
+    terms_used counts the terms of all k."""
 
-    value: complex | np.ndarray
+    value: np.ndarray
     terms_used: int
     route: str
 
@@ -96,17 +96,14 @@ def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.nd
     return out
 
 
-def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
-    """One restricted sum of chi (a Character or a sequence of them) by the
-    direct route (the walk histogram dotted with each character's values) or
-    the factored one."""
+def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
+    """The restricted sums of chi_j for j in js by the direct route (the
+    walk histogram dotted with each character's values) or the factored
+    one."""
     if x < 1:
         raise ValueError("need x >= 1")
     ctx.index_table()  # refuses p > MAX_LOG_P before anything of length x
-    chars = [chi] if isinstance(chi, Character) else list(chi)
-    if any(c.ctx is not ctx for c in chars):
-        raise ValueError("every character must belong to ctx")
-    js = np.array([c.j for c in chars], dtype=np.int64)
+    js = np.asarray(js, dtype=np.int64)
     if route == "direct":
         h = walk(ctx.p, x)
         residues = np.arange(ctx.p)
@@ -116,16 +113,14 @@ def _restricted_sum(ctx, chi, x, route, walk, factored) -> SumResult:
         values, terms = factored(ctx, js, x)
     else:
         raise ValueError(f"unknown route {route!r}")
-    if isinstance(chi, Character):
-        return SumResult(complex(values[0]), terms, route)
     return SumResult(values, terms * len(js), route)
 
 
 def sum_char_squarefull(
-    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
+    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
 ) -> SumResult:
-    """sum of chi(m) over square-full m <= x."""
-    return _restricted_sum(ctx, chi, x, route, squarefull.squarefull_walk, _squarefull_factored)
+    """sum of chi_j(m) over square-full m <= x, for j in js."""
+    return _restricted_sum(ctx, js, x, route, squarefull.squarefull_walk, _squarefull_factored)
 
 
 def _squarefull_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
@@ -136,10 +131,10 @@ def _squarefull_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.
 
 
 def sum_char_squarefree(
-    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
+    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
 ) -> SumResult:
-    """sum of chi(m) over square-free m <= x."""
-    return _restricted_sum(ctx, chi, x, route, squarefull.squarefree_walk, _squarefree_factored)
+    """sum of chi_j(m) over square-free m <= x, for j in js."""
+    return _restricted_sum(ctx, js, x, route, squarefull.squarefree_walk, _squarefree_factored)
 
 
 def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
@@ -151,10 +146,10 @@ def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.
 
 
 def sum_char_prime_powerful(
-    ctx: PrimeContext, chi: Character | Sequence[Character], x: int, route: str = "factored"
+    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
 ) -> SumResult:
-    """sum of chi(m) over m = q^2 r^3 <= x, q and r prime."""
-    return _restricted_sum(ctx, chi, x, route, squarefull.prime_powerful_walk, _prime_powerful_factored)
+    """sum of chi_j(m) over m = q^2 r^3 <= x, q and r prime, for j in js."""
+    return _restricted_sum(ctx, js, x, route, squarefull.prime_powerful_walk, _prime_powerful_factored)
 
 
 def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:

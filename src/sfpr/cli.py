@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -85,6 +86,8 @@ def _parse_grid(spec: str) -> list[int]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise ValueError("x-grid must be lo:hi:decade") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"x-grid bounds and decade must be finite, got {spec}")
     if lo < 1 or hi < lo or step <= 1:
         raise ValueError("x-grid must be lo:hi:decade with lo >= 1 and decade > 1")
     xs = []
@@ -96,6 +99,8 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def cmd_count(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     ctx = build_context(args.p)
     rep = count_by_target(ctx, args.x, args.target, args.method)
     # the wall-clock fields would make stdout differ between identical runs

@@ -73,7 +73,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith, squarefull
-from .characters import Character, PrimeContext, build_context
+from .characters import PrimeContext, build_context
 from .charsums import (
     sum_char_prime_powerful,
     sum_char_squarefree,
@@ -223,7 +223,7 @@ def _checked_characters(p: int, x: int, target: str) -> list[int]:
 
 def _check_factored(ctx: PrimeContext, x: int, target: str, sums: np.ndarray) -> None:
     js = _checked_characters(ctx.p, x, target)
-    want = _family(target)[2](ctx, [Character(ctx, j) for j in js], x, route="factored").value
+    want = _family(target)[2](ctx, js, x, route="factored").value
     rel = np.abs(sums[js] - want) / np.maximum(1.0, np.abs(want))
     for j, got, w, e in zip(js, sums[js], want, rel):
         if not e < CHECK_RTOL:
@@ -336,22 +336,24 @@ _KINDS = {
 }
 
 
-def _first_pr(grow, ctx, ceiling: int = SEARCH_CEILING) -> int:
-    """The first primitive root mod ctx.p along the candidate list of grow;
-    ctx supplies .p and .p1_primes."""
+def _first_pr(grow, ctx) -> int:
+    """The first primitive root mod ctx.p along the candidate list of grow,
+    up to SEARCH_CEILING; ctx supplies .p and .p1_primes."""
     i = 0
     while True:
         m = grow(i + 1)[i]
-        if m > ceiling:
-            raise ArithmeticError(f"no primitive root mod {ctx.p} among the candidates below {ceiling}")
+        if m > SEARCH_CEILING:
+            raise ArithmeticError(
+                f"no primitive root mod {ctx.p} among the candidates below {SEARCH_CEILING}"
+            )
         if arith.is_primitive_root(m, ctx):
             return m
         i += 1
 
 
-def least_squarefull_pr(ctx: PrimeContext, ceiling: int = SEARCH_CEILING) -> int:
+def least_squarefull_pr(ctx: PrimeContext) -> int:
     """g_sf(p): the first primitive root along the square-full non-squares."""
-    return _first_pr(_nonsquare_squarefull, ctx, ceiling)
+    return _first_pr(_nonsquare_squarefull, ctx)
 
 
 def least_squarefree_pr(ctx: PrimeContext) -> int:
@@ -396,16 +398,17 @@ def scan_record(p: int) -> ScanRecord:
     )
 
 
-def _prime_blocks(lo: int, hi: int, block_size: int) -> list[np.ndarray]:
-    """The primes of [lo, hi] as consecutive int64 slices of the sieve; hi
-    past what the lanes can square is refused before the sieve runs."""
+def _prime_blocks(lo: int, hi: int) -> list[np.ndarray]:
+    """The primes of [lo, hi] as consecutive int64 slices of the sieve,
+    BLOCK_SIZE primes each; hi past what the lanes can square is refused
+    before the sieve runs."""
     if hi > arith.MAX_INT64_MODULUS:
         raise ValueError(
             f"need limit <= {arith.MAX_INT64_MODULUS}: the lane search squares residues in int64"
         )
     ps = arith.sieve_primes(hi) if hi >= 2 else np.array([], dtype=np.int64)
     ps = ps[ps >= lo]
-    return [ps[i : i + block_size] for i in range(0, len(ps), block_size)]
+    return [ps[i : i + BLOCK_SIZE] for i in range(0, len(ps), BLOCK_SIZE)]
 
 
 # -- least primitive roots of a block, in lanes -------------------------------
@@ -526,14 +529,12 @@ def _run_blocks(worker, blocks, jobs: int, progress=None):
     return results
 
 
-def scan_range(
-    lo: int, hi: int, jobs: int = 1, block_size: int = BLOCK_SIZE, progress=None
-) -> list[ScanRecord]:
+def scan_range(lo: int, hi: int, jobs: int = 1, progress=None) -> list[ScanRecord]:
     """ScanRecord for every prime in [lo, hi], ascending, worker-count
     independent."""
     if lo < 3 or hi < lo:
         raise ValueError("need 3 <= lo <= hi")
-    blocks = _prime_blocks(lo, hi, block_size)
+    blocks = _prime_blocks(lo, hi)
     out: list[ScanRecord] = []
     for chunk in _run_blocks(_scan_block, blocks, jobs, progress):
         out.extend(chunk)
@@ -547,13 +548,11 @@ class HypothesisReport:
     largest: int | None
 
 
-def hypothesis_scan(
-    limit: int, jobs: int = 1, block_size: int = BLOCK_SIZE, progress=None
-) -> HypothesisReport:
+def hypothesis_scan(limit: int, jobs: int = 1, progress=None) -> HypothesisReport:
     """All primes p <= limit with g_sf(p) >= p."""
     if limit < 3:
         raise ValueError("need limit >= 3")
-    blocks = _prime_blocks(3, limit, block_size)
+    blocks = _prime_blocks(3, limit)
     exceptional: list[tuple[int, int]] = []
     for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):
         exceptional.extend(chunk)

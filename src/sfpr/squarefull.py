@@ -13,6 +13,7 @@ Mobius inversion nor periodicity mod p, so they check the routes that do.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -81,19 +82,10 @@ def squarefree_table(x: int) -> np.ndarray:
 
 
 def enumerate_squarefull(x: int) -> Iterator[int]:
-    """Square-full numbers <= x, ascending. Heap-merged per-b streams."""
+    """Square-full numbers <= x, ascending: the head of squarefull_stream."""
     if x < 1:
         raise ValueError("need x >= 1")
-    bmax = arith.icbrt(x)
-    sf = squarefree_table(bmax) if bmax >= 1 else None
-    heap = [(b * b * b, 1, b) for b in range(1, bmax + 1) if sf[b]]
-    heapq.heapify(heap)
-    while heap:
-        v, a, b = heapq.heappop(heap)
-        nxt = (a + 1) * (a + 1) * b * b * b
-        if nxt <= x:
-            heapq.heappush(heap, (nxt, a + 1, b))
-        yield v
+    return itertools.takewhile(lambda m: m <= x, squarefull_stream())
 
 
 def squarefull_stream() -> Iterator[int]:

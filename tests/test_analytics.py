@@ -37,7 +37,6 @@ from sfpr.analytics import (
 )
 from sfpr.characters import build_context
 from sfpr.charsums import sum_char_squarefull
-from sfpr.characters import principal, quadratic
 
 mp.mp.dps = 25
 
@@ -370,7 +369,7 @@ def test_charsum_main_term_principal():
 def test_charsum_main_term_quadratic():
     ctx = build_context(7)
     b = squarefull_charsum_main_term(ctx, 100, "quadratic")
-    want = sum_char_squarefull(ctx, quadratic(ctx), 100, route="direct").value
+    want = sum_char_squarefull(ctx, [(7 - 1) // 2], 100, route="factored").value[0]
     assert b.exact == round(want.real) == 11
     assert b.secondary_term == 0.0
 
@@ -378,7 +377,7 @@ def test_charsum_main_term_quadratic():
 def test_charsum_main_term_principal_matches_direct():
     ctx = build_context(11)
     b = squarefull_charsum_main_term(ctx, 5000, "principal")
-    want = sum_char_squarefull(ctx, principal(ctx), 5000, route="direct").value
+    want = sum_char_squarefull(ctx, [0], 5000, route="factored").value[0]
     assert b.exact == round(want.real)
 
 

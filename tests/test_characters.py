@@ -1,5 +1,5 @@
 """Character representation checks: the discrete-log table and its bound,
-value tables, order classes, orthogonality."""
+character values by index, order classes, orthogonality."""
 
 import cmath
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, characters
-from sfpr.characters import Character, build_context, char_eval, characters_of_order
+from sfpr.characters import build_context
 
 
 def brute_order(a, p):
@@ -20,6 +20,18 @@ def brute_order(a, p):
         x = x * a % p
         k += 1
     return k
+
+
+def chi(ctx, j, m):
+    """chi_j(m) as one complex number, read from ctx.values."""
+    return complex(ctx.values([j], [m])[0, 0])
+
+
+def order_by_values(ctx, j):
+    """The least d >= 1 with chi_j^d = chi_{jd} principal on every unit."""
+    n = ctx.p - 1
+    units = np.arange(1, ctx.p)
+    return next(d for d in range(1, n + 1) if np.allclose(ctx.values([j * d % n], units), 1))
 
 
 def brute_logs(g, p):
@@ -63,22 +75,19 @@ class TestContext:
 
     def test_index_roundtrip(self):
         ctx = build_context(101)
+        ind = ctx.index_table()
         for m in range(1, 101):
-            assert pow(ctx.generator, ctx.index(m), 101) == m
-        assert ctx.index(1) == 0
-        assert ctx.index(ctx.generator) == 1
-
-    def test_index_rejects_zero(self):
-        ctx = build_context(7)
-        with pytest.raises(ValueError):
-            ctx.index(14)
+            assert pow(ctx.generator, int(ind[m]), 101) == m
+        assert ind[1] == 0
+        assert ind[ctx.generator] == 1
 
     @pytest.mark.parametrize("p", [3, 101, 211, 1009])
     def test_index_matches_powers(self, p):
         ctx = build_context(p)
+        ind = ctx.index_table()
         for k in range(p - 1):
-            assert ctx.index(pow(ctx.generator, k, p)) == k
-            assert ctx.index(pow(ctx.generator, k, p) + 7 * p) == k
+            assert ind[pow(ctx.generator, k, p)] == k
+            assert ind[(pow(ctx.generator, k, p) + 7 * p) % p] == k
 
     def test_index_table_permutation_small_primes(self):
         for p in arith.sieve_primes(4999)[1:]:
@@ -104,15 +113,13 @@ class TestContext:
 
     def test_index_tiny_modulus(self):
         ctx = build_context(3)
-        assert ctx.index(1) == 0
-        assert ctx.index(2) == 1
+        assert ctx.index_table().tolist() == [0, 0, 1]
 
     def test_index_table_refused_past_max_log_p(self):
         # 4194319 is the first prime past 2^22
         ctx = build_context(4194319)
         assert ctx.p > characters.MAX_LOG_P
-        for read in (ctx.index_table, lambda: ctx.index(2), ctx.is_pr_table,
-                     lambda: ctx.values([1], [2]), lambda: char_eval(Character(ctx, 1), 2)):
+        for read in (ctx.index_table, ctx.is_pr_table, lambda: ctx.values([1], [2])):
             with pytest.raises(ValueError, match=f"MAX_LOG_P = {characters.MAX_LOG_P}"):
                 read()
         assert ctx._index_table is None and ctx._roots is None
@@ -134,46 +141,40 @@ class TestContext:
 class TestCharacterValues:
     def test_principal_values(self):
         ctx = build_context(11)
-        chi0 = characters.principal(ctx)
-        for m in range(1, 23):
-            want = 0 if m % 11 == 0 else 1
-            assert char_eval(chi0, m) == pytest.approx(want)
+        ms = np.arange(1, 23)
+        want = np.where(ms % 11 == 0, 0, 1)
+        assert np.allclose(ctx.values([0], ms)[0], want, rtol=0, atol=1e-12)
 
     def test_quadratic_is_legendre(self):
         for p in (3, 7, 11, 101):
             ctx = build_context(p)
-            chi2 = characters.quadratic(ctx)
-            for m in range(0, 2 * p):
-                assert char_eval(chi2, m) == pytest.approx(arith.legendre(m, p))
+            got = ctx.values([(p - 1) // 2], np.arange(2 * p))[0]
+            want = [arith.legendre(m, p) for m in range(2 * p)]
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_frozen_example_generator_value(self):
         # j=2 at the generator of p=7: exp(2 pi i / 3)
         ctx = build_context(7)
-        got = char_eval(Character(ctx, 2), 3)
-        assert got == pytest.approx(cmath.exp(2j * cmath.pi / 3))
+        assert chi(ctx, 2, 3) == pytest.approx(cmath.exp(2j * cmath.pi / 3))
 
     def test_periodicity(self):
         ctx = build_context(13)
-        chi = Character(ctx, 5)
-        for m in range(1, 13):
-            assert char_eval(chi, m) == pytest.approx(char_eval(chi, m + 13))
+        ms = np.arange(1, 13)
+        assert np.allclose(ctx.values([5], ms), ctx.values([5], ms + 13), rtol=0, atol=1e-12)
 
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_complete_multiplicativity(self, m, n):
         ctx = build_context(61)
-        chi = Character(ctx, 7)
-        lhs = char_eval(chi, m * n)
-        rhs = char_eval(chi, m) * char_eval(chi, n)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert chi(ctx, 7, m * n) == pytest.approx(chi(ctx, 7, m) * chi(ctx, 7, n), abs=1e-12)
 
     def test_conjugate_pairs(self):
+        # the conjugate of chi_j is chi_{-j mod p-1}
         ctx = build_context(29)
+        ms = [2, 17, 23]
         for j in range(1, 28):
-            chi = Character(ctx, j)
-            bar = chi.conjugate()
-            for m in (2, 17, 23):
-                assert char_eval(bar, m) == pytest.approx(char_eval(chi, m).conjugate())
+            bar = ctx.values([-j % 28], ms)[0]
+            assert np.allclose(bar, np.conj(ctx.values([j], ms)[0]), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [3, 101, 211, 1009])
     def test_eval_matches_power_oracle(self, p):
@@ -182,18 +183,17 @@ class TestCharacterValues:
         for j in sorted({1, 7 % (p - 1), (p - 1) // 2, p - 2}):
             for m in sorted({2, 3, 55, p - 1, p + 2, 2 * p}):
                 want = cmath.exp(2j * cmath.pi * j * logs[m % p] / (p - 1)) if m % p else 0
-                assert char_eval(Character(ctx, j), m) == pytest.approx(want, abs=1e-12)
-        chi2 = characters.quadratic(ctx)
+                assert chi(ctx, j, m) == pytest.approx(want, abs=1e-12)
         for m in range(1, p):
             euler = 1 if pow(m, (p - 1) // 2, p) == 1 else -1
-            assert char_eval(chi2, m) == pytest.approx(euler, abs=1e-12)
+            assert chi(ctx, (p - 1) // 2, m) == pytest.approx(euler, abs=1e-12)
 
     def test_no_table_per_character(self):
         ctx = build_context(101)
         g = ctx.generator
         for j in range(100):
             want = cmath.exp(2j * cmath.pi * j / 100)
-            assert char_eval(Character(ctx, j), g) == pytest.approx(want)
+            assert chi(ctx, j, g) == pytest.approx(want)
         # values are gathered on demand: nothing of length p stays behind,
         # neither as an attribute nor inside a container the context holds
         held = []
@@ -205,34 +205,39 @@ class TestCharacterValues:
 
 
 class TestOrderClasses:
+    """chi_j has order (p-1)/gcd(j, p-1), the order pr_decomposition reads
+    from the index; checked here against the powers of the values."""
+
     def test_frozen_examples_p7(self):
         ctx = build_context(7)
-        assert [c.j for c in characters_of_order(ctx, 3)] == [2, 4]
-        assert [c.j for c in characters_of_order(ctx, 2)] == [3]
-        assert [c.j for c in characters_of_order(ctx, 1)] == [0]
+        assert [j for j in range(6) if order_by_values(ctx, j) == 3] == [2, 4]
+        assert [j for j in range(6) if order_by_values(ctx, j) == 2] == [3]
+        assert [j for j in range(6) if order_by_values(ctx, j) == 1] == [0]
 
     def test_class_sizes_and_partition(self):
         for p in (7, 13, 61, 101):
             ctx = build_context(p)
+            n = p - 1
+            orders = [order_by_values(ctx, j) for j in range(n)]
             seen = []
-            for d in arith.divisors(p - 1):
-                cls = characters_of_order(ctx, d)
+            for d in arith.divisors(n):
+                cls = [j for j in range(n) if orders[j] == d]
                 assert len(cls) == arith.euler_phi(d)
-                for c in cls:
-                    assert c.order == d
-                seen.extend(c.j for c in cls)
-            assert sorted(seen) == list(range(p - 1))
+                for j in cls:
+                    assert n // math.gcd(j, n) == d
+                seen.extend(cls)
+            assert sorted(seen) == list(range(n))
 
     def test_rejects_non_divisor(self):
+        # no character has an order that does not divide p - 1
         ctx = build_context(7)
-        with pytest.raises(ValueError):
-            characters_of_order(ctx, 4)
+        assert [j for j in range(6) if order_by_values(ctx, j) == 4] == []
 
     def test_orthogonality(self):
         for p in (7, 13, 31):
             ctx = build_context(p)
-            chars = [Character(ctx, j) for j in range(p - 1)]
+            vals = ctx.values(np.arange(p - 1), np.arange(1, p))
             for m in range(1, p):
-                total = sum(char_eval(c, m) for c in chars)
+                total = vals[:, m - 1].sum()
                 want = p - 1 if m == 1 else 0
                 assert abs(total - want) < 1e-9 * (p - 1)

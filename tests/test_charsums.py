@@ -9,18 +9,25 @@ import numpy as np
 import pytest
 
 from sfpr import arith, charsums, counting, squarefull
-from sfpr.characters import Character, build_context, characters_of_order, principal, quadratic
+from sfpr.characters import build_context
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import count_by_target
 
 
-def brute_interval(ctx, chi, x):
-    return sum(chi(m) for m in range(1, x + 1))
+def brute_interval(ctx, j, x):
+    return sum(complex(v) for v in ctx.values([j], range(1, x + 1))[0])
 
 
-def interval_sum(ctx, chi, x):
-    """sum_{m <= x} chi(m) from the prefix the factored routes read."""
-    return complex(charsums._interval_values(ctx, np.array([chi.j]), [x])[0, 0])
+def interval_sum(ctx, j, x):
+    """sum_{m <= x} chi_j(m) from the prefix the factored routes read."""
+    return complex(charsums._interval_values(ctx, np.array([j]), [x])[0, 0])
+
+
+def one(fn, ctx, j, x, route):
+    """The sum of the single character chi_j: fn on [j], its value [0]."""
+    got = fn(ctx, [j], x, route)
+    assert got.value.shape == (1,)
+    return got.value[0]
 
 
 def power_oracle(ctx, j, ms):
@@ -37,57 +44,56 @@ def power_oracle(ctx, j, ms):
 class TestInterval:
     def test_principal_counts_coprime(self):
         ctx = build_context(7)
-        assert interval_sum(ctx, principal(ctx), 20) == pytest.approx(18)  # 20 minus floor(20/7)
+        assert interval_sum(ctx, 0, 20) == pytest.approx(18)  # 20 minus floor(20/7)
 
     def test_full_period_vanishes(self):
         ctx = build_context(7)
-        assert abs(interval_sum(ctx, Character(ctx, 1), 6)) < 1e-12
+        assert abs(interval_sum(ctx, 1, 6)) < 1e-12
 
     def test_matches_brute(self):
         ctx = build_context(31)
         for j in (0, 1, 7, 15):
-            chi = Character(ctx, j)
             for x in (1, 5, 30, 31, 62, 100, 997):
-                want = brute_interval(ctx, chi, x)
-                assert interval_sum(ctx, chi, x) == pytest.approx(want, abs=1e-9)
+                want = brute_interval(ctx, j, x)
+                assert interval_sum(ctx, j, x) == pytest.approx(want, abs=1e-9)
 
     def test_matches_power_oracle(self):
         ctx = build_context(101)
         for j in (1, 50):
             for x in (10, 101, 250):
-                got = interval_sum(ctx, Character(ctx, j), x)
+                got = interval_sum(ctx, j, x)
                 assert got == pytest.approx(power_oracle(ctx, j, range(1, x + 1)), abs=1e-9)
 
     def test_bound_by_terms(self):
         ctx = build_context(13)
         for j in range(12):
-            assert abs(interval_sum(ctx, Character(ctx, j), 200)) <= 200 + 1e-9
+            assert abs(interval_sum(ctx, j, 200)) <= 200 + 1e-9
 
 
 class TestFrozenRestrictedSums:
     def test_squarefull_quadratic_p7(self):
         ctx = build_context(7)
-        got = sum_char_squarefull(ctx, quadratic(ctx), 10, route="direct")
-        assert got.value == pytest.approx(4)  # 1,4,8,9 are all residues mod 7
+        got = sum_char_squarefull(ctx, [3], 10, route="direct")  # j = (7 - 1) / 2
+        assert got.value == pytest.approx([4])  # 1,4,8,9 are all residues mod 7
         assert got.terms_used == 4
 
     def test_squarefull_principal_p7(self):
         ctx = build_context(7)
         for route in ("direct", "factored"):
-            got = sum_char_squarefull(ctx, principal(ctx), 100, route=route)
-            assert got.value == pytest.approx(13)  # 14 squarefull, 49 killed
+            got = sum_char_squarefull(ctx, [0], 100, route=route)
+            assert got.value == pytest.approx([13])  # 14 squarefull, 49 killed
 
     def test_prime_powerful_quadratic_p7(self):
         ctx = build_context(7)
         for route in ("direct", "factored"):
-            got = sum_char_prime_powerful(ctx, quadratic(ctx), 200, route=route)
-            assert got.value == pytest.approx(2)  # 32,72,200 residues; 108 not
+            got = sum_char_prime_powerful(ctx, [3], 200, route=route)  # j = (7 - 1) / 2
+            assert got.value == pytest.approx([2])  # 32,72,200 residues; 108 not
 
     def test_squarefree_principal_p7(self):
         ctx = build_context(7)
         for route in ("direct", "factored"):
-            got = sum_char_squarefree(ctx, principal(ctx), 10, route=route)
-            assert got.value == pytest.approx(6)  # 7 of 7 squarefree minus chi0(7)
+            got = sum_char_squarefree(ctx, [0], 10, route=route)
+            assert got.value == pytest.approx([6])  # 7 of 7 squarefree minus chi0(7)
 
 
 class TestRouteEquality:
@@ -98,24 +104,22 @@ class TestRouteEquality:
             p = rng.choice(ps)
             ctx = build_context(p)
             j = rng.randrange(p - 1)
-            chi = Character(ctx, j)
             x = rng.randrange(1, 20000)
-            a = sum_char_squarefull(ctx, chi, x, "direct").value
-            b = sum_char_squarefull(ctx, chi, x, "factored").value
+            a = one(sum_char_squarefull, ctx, j, x, "direct")
+            b = one(sum_char_squarefull, ctx, j, x, "factored")
             assert a == pytest.approx(b, abs=1e-9)
-            c = sum_char_squarefree(ctx, chi, x, "direct").value
-            d = sum_char_squarefree(ctx, chi, x, "factored").value
+            c = one(sum_char_squarefree, ctx, j, x, "direct")
+            d = one(sum_char_squarefree, ctx, j, x, "factored")
             assert c == pytest.approx(d, abs=1e-9)
-            e = sum_char_prime_powerful(ctx, chi, x, "direct").value
-            f = sum_char_prime_powerful(ctx, chi, x, "factored").value
+            e = one(sum_char_prime_powerful, ctx, j, x, "direct")
+            f = one(sum_char_prime_powerful, ctx, j, x, "factored")
             assert e == pytest.approx(f, abs=1e-9)
 
     def test_routes_match_power_oracle(self):
         ctx = build_context(211)
-        chi = Character(ctx, 5)
         want = power_oracle(ctx, 5, squarefull.enumerate_squarefull(3000))
-        a = sum_char_squarefull(ctx, chi, 3000, "direct").value
-        b = sum_char_squarefull(ctx, chi, 3000, "factored").value
+        a = one(sum_char_squarefull, ctx, 5, 3000, "direct")
+        b = one(sum_char_squarefull, ctx, 5, 3000, "factored")
         assert a == pytest.approx(want, abs=1e-9)
         assert b == pytest.approx(want, abs=1e-9)
 
@@ -158,9 +162,9 @@ class TestFactoredTerms:
             x = rng.randrange(1, 30000)
             ctx = build_context(p)
             for _ in range(2):
-                chi = Character(ctx, rng.randrange(p - 1))
+                j = rng.randrange(p - 1)
                 for fn, want in FACTORED_TERMS:
-                    assert fn(ctx, chi, x, "factored").terms_used == want(x), (fn, p, x)
+                    assert fn(ctx, [j], x, "factored").terms_used == want(x), (fn, p, x)
 
 
 class TestLargeModulus:
@@ -173,7 +177,7 @@ class TestLargeModulus:
     @pytest.mark.parametrize("x", [300_000, 1_100_000])
     def test_factored_equals_direct(self, x, monkeypatch):
         ctx = build_context(self.P)
-        chi = Character(ctx, random.Random(x).randrange(1, self.P - 1))
+        j = random.Random(x).randrange(1, self.P - 1)
         widths = []  # points per row of each character-value gather
         read = ctx.values
 
@@ -184,32 +188,28 @@ class TestLargeModulus:
         monkeypatch.setattr(ctx, "values", gather)
         factored = {}
         for fn, _ in FACTORED_TERMS:
-            factored[fn] = fn(ctx, chi, x, "factored").value
+            factored[fn] = one(fn, ctx, j, x, "factored")
         if x < self.P:
             assert 0 < max(widths) < self.P
         for fn, value in factored.items():
-            direct = fn(ctx, chi, x, "direct").value
+            direct = one(fn, ctx, j, x, "direct")
             assert abs(value - direct) <= 1e-9 * max(1.0, abs(direct)), fn
         assert max(widths) == self.P  # the direct rows are read through the same gather
 
 
 class TestSymmetries:
     def test_conjugate_character_conjugates_sums(self):
+        # the conjugate of chi_j is chi_{-j mod p-1}
         ctx = build_context(61)
         for j in (1, 9, 31):
-            chi = Character(ctx, j)
-            bar = chi.conjugate()
-            for fn in (
-                lambda c: sum_char_squarefull(ctx, c, 5000, "factored").value,
-                lambda c: sum_char_squarefree(ctx, c, 5000, "factored").value,
-            ):
-                assert fn(bar) == pytest.approx(np.conjugate(fn(chi)), abs=1e-9)
+            for fn in (sum_char_squarefull, sum_char_squarefree):
+                bar = one(fn, ctx, -j % 60, 5000, "factored")
+                assert bar == pytest.approx(np.conjugate(one(fn, ctx, j, 5000, "factored")), abs=1e-9)
 
     def test_principal_sums_are_integers(self):
         ctx = build_context(31)
-        chi0 = principal(ctx)
         for x in (100, 1234):
-            v = sum_char_squarefull(ctx, chi0, x, "factored").value
+            v = one(sum_char_squarefull, ctx, 0, x, "factored")
             assert v.imag == pytest.approx(0, abs=1e-12)
             assert v.real == pytest.approx(round(v.real), abs=1e-9)
 
@@ -253,8 +253,8 @@ RESTRICTED = (sum_char_squarefull, sum_char_squarefree, sum_char_prime_powerful)
 
 
 class TestBatchedCharacters:
-    """A call on a sequence of characters is the stack of the scalar calls,
-    bit for bit, and its terms_used is theirs summed."""
+    """A call on k character indices is the stack of the k calls on one
+    index each, bit for bit, and its terms_used is theirs summed."""
 
     @pytest.mark.parametrize(
         "p,x",
@@ -266,19 +266,18 @@ class TestBatchedCharacters:
     def test_equals_stacked_scalar_calls(self, fn, p, x):
         ctx = build_context(p)
         js = [0, (p - 1) // 2, *random.Random(f"{p}:{x}").sample(range(1, p - 1), 6)]
-        chars = [Character(ctx, j) for j in js]
-        batched = fn(ctx, chars, x, "factored")
-        scalar = [fn(ctx, chi, x, "factored") for chi in chars]
-        assert batched.value.tolist() == [r.value for r in scalar]
+        batched = fn(ctx, js, x, "factored")
+        scalar = [fn(ctx, [j], x, "factored") for j in js]
+        assert batched.value.tolist() == [r.value[0] for r in scalar]
         assert batched.terms_used == sum(r.terms_used for r in scalar)
 
     @pytest.mark.parametrize("fn", RESTRICTED)
     def test_direct_route_batches_too(self, fn):
         ctx = build_context(101)
-        chars = [Character(ctx, j) for j in (0, 3, 50, 77)]
-        batched = fn(ctx, chars, 5000, "direct")
-        scalar = [fn(ctx, chi, 5000, "direct") for chi in chars]
-        assert batched.value.tolist() == [r.value for r in scalar]
+        js = [0, 3, 50, 77]
+        batched = fn(ctx, js, 5000, "direct")
+        scalar = [fn(ctx, [j], 5000, "direct") for j in js]
+        assert batched.value.tolist() == [r.value[0] for r in scalar]
         assert batched.terms_used == sum(r.terms_used for r in scalar)
 
     @pytest.mark.parametrize("route", ["direct", "factored"])
@@ -286,11 +285,6 @@ class TestBatchedCharacters:
     def test_empty_sequence(self, fn, route):
         got = fn(build_context(101), [], 5000, route)
         assert got.value.shape == (0,) and got.terms_used == 0
-
-    def test_rejects_character_of_another_modulus(self):
-        ctx, other = build_context(101), build_context(103)
-        with pytest.raises(ValueError):
-            sum_char_squarefree(ctx, [Character(ctx, 1), Character(other, 1)], 1000)
 
 
 def _oracle_squarefull(m):
@@ -340,9 +334,9 @@ class TestDirectRoutes:
         for j in (0, 1, 25, 50, 99):
             terms = [cmath.exp(2j * math.pi * (j * logs[m % ctx.p] % n) / n) for m in members if m % ctx.p]
             want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-            got = fn(ctx, Character(ctx, j), x, "direct")
+            got = fn(ctx, [j], x, "direct")
             assert got.terms_used == len(members)
-            assert abs(got.value - want) <= 1e-12 * max(1.0, abs(want)), (j, got.value, want)
+            assert abs(got.value[0] - want) <= 1e-12 * max(1.0, abs(want)), (j, got.value, want)
 
 
 @pytest.mark.parametrize("target", list(counting.FAMILIES))
@@ -351,9 +345,9 @@ def test_count_calls_family_sum_once(monkeypatch, target):
     walk, histogram, fn = counting.FAMILIES[target]
     calls = []
 
-    def counted(ctx, chi, x, route):
-        calls.append((len(chi), route))
-        return fn(ctx, chi, x, route)
+    def counted(ctx, js, x, route):
+        calls.append((len(js), route))
+        return fn(ctx, js, x, route)
 
     monkeypatch.setitem(counting.FAMILIES, target, (walk, histogram, counted))
     ctx = build_context(1009)

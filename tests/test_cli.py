@@ -1,5 +1,6 @@
 """CLI surface: exit codes, schemas, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sfpr
-from sfpr import arith
+from sfpr import arith, cli
 from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
 
@@ -114,14 +115,24 @@ def test_count_bad_x(capsys):
     assert code == 1
 
 
-def test_count_tolerance_exceeded(capsys):
-    # negative tolerance forces the residual gate to trip
-    code, out, err = run_cli(
-        capsys, "count", "--p", "7", "--x", "108", "--tolerance", "-1"
-    )
+def test_count_tolerance_exceeded(capsys, monkeypatch):
+    # a residual far past the default tolerance trips the gate
+    count = cli.count_by_target
+    monkeypatch.setattr(cli, "count_by_target", lambda *a: dataclasses.replace(count(*a), residual=1.0))
+    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108")
     assert code == 2
     assert json.loads(out)["brute_count"] == 1
     assert "tolerance" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_count_bad_tolerance(capsys, tolerance):
+    # a tolerance that is not finite or is negative is a usage error, not a
+    # verification failure, and NaN would otherwise switch the gate off
+    code, out, err = run_cli(capsys, "count", "--p", "101", "--x", "1000", "--tolerance", tolerance)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--tolerance must be finite and non-negative" in err
 
 
 def _euler_pr_count(p, x, target):
@@ -490,6 +501,19 @@ def test_parse_grid():
     assert _parse_grid("8:64:2") == [8, 16, 32, 64]
     with pytest.raises(ValueError):
         _parse_grid("5:1:10")
+    for spec in ("1e2:nan:10", "1e2:inf:10", "nan:1e3:10", "inf:inf:10", "1e2:1e3:nan", "1e2:1e3:inf"):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec", ["1e2:nan:10", "1e2:inf:10"])
+def test_profile_non_finite_grid(capsys, spec):
+    # a usage error: unchecked, NaN gives an empty profile and inf an
+    # OverflowError, which is an ArithmeticError (a verification failure)
+    code, out, err = run_cli(capsys, "profile", "--p", "7", "--target", "prop42", "--x-grid", spec)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "x-grid" in err
 
 
 # -- verify ------------------------------------------------------------------

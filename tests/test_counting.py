@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, counting, squarefull
-from sfpr.characters import Character, PrimeContext, build_context, characters_of_order
+from sfpr.characters import PrimeContext, build_context
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
     CSV_HEADER,
@@ -121,7 +121,7 @@ def indicator(ctx, m):
     n = ctx.p - 1
     w = pr_decomposition(ctx)
     js = np.flatnonzero(w)
-    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index(m) % n) / n))
+    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index_table()[m % ctx.p] % n) / n))
     return float(total.real) * arith.euler_phi(n) / n
 
 
@@ -140,14 +140,21 @@ def test_indicator_matches_order_test(p, m):
     assert indicator(ctx, m) == pytest.approx(want, abs=1e-9)
 
 
+def characters_of_order(ctx, d):
+    """The indices j of the phi(d) characters of exact order d, ascending:
+    j = k (p-1)/d with gcd(k, d) = 1."""
+    step = (ctx.p - 1) // d
+    return sorted(step * k for k in range(d) if math.gcd(k, d) == 1)
+
+
 def test_pr_decomposition_weights_by_order():
     for p in (3, 7, 13, 31, 101, 211):
         ctx = build_context(p)
         n = p - 1
         want = np.zeros(n)
         for d in arith.divisors(n):
-            for chi in characters_of_order(ctx, d):
-                want[chi.j] = arith.mobius(d) / arith.euler_phi(d)
+            for j in characters_of_order(ctx, d):
+                want[j] = arith.mobius(d) / arith.euler_phi(d)
         w = pr_decomposition(ctx)
         assert np.array_equal(w, want)
         assert np.count_nonzero(w) == np.prod(ctx.p1_primes)
@@ -214,7 +221,7 @@ def test_family_charsums_full_spectrum(p, x, target):
     assert sums.shape == (p - 1,)
     assert sums[0] == sum(1 for m in oracle_members(target, x) if m % p)
     for j in range(p - 1):
-        want = _FACTORED[target](ctx, Character(ctx, j), x, route="factored").value
+        want = _FACTORED[target](ctx, [j], x, route="factored").value[0]
         assert abs(sums[j] - want) <= 1e-9 * max(1.0, abs(want)), j
 
 
@@ -318,9 +325,10 @@ def test_least_matches_order_oracle(p):
     assert least_squarefree_pr(ctx) == oracle_least_squarefree_pr(p)
 
 
-def test_least_squarefull_ceiling():
+def test_least_squarefull_ceiling(monkeypatch):
+    monkeypatch.setattr(counting, "SEARCH_CEILING", 4)
     with pytest.raises(ArithmeticError):
-        least_squarefull_pr(build_context(11), ceiling=4)
+        least_squarefull_pr(build_context(11))
 
 
 def test_least_squarefull_every_prime_below_3000():
@@ -375,7 +383,7 @@ def _lanes(ps, kind):
 
 def test_lane_search_matches_scalar_route():
     assert set(_SCALAR) == set(counting._KINDS)
-    blocks = counting._prime_blocks(3, _LANE_LIMIT, 4096)
+    blocks = counting._prime_blocks(3, _LANE_LIMIT)
     ps = np.concatenate(blocks)
     assert {3, 5, 7, 17, 257, 65537} <= set(ps.tolist())
     got = {kind: np.concatenate([_lanes(b, kind) for b in blocks]).tolist() for kind in _SCALAR}
@@ -386,7 +394,7 @@ def test_lane_search_matches_scalar_route():
 
 
 def test_block_factorization_matches_factorize():
-    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+    for block in counting._prime_blocks(3, _LANE_LIMIT):
         rows = arith.prime_factors_lanes(block - 1)
         for p, row in zip(block.tolist(), rows):
             assert tuple(row[row > 0].tolist()) == arith.factorize(p - 1).primes, p
@@ -436,22 +444,24 @@ def _corrupt(monkeypatch, pick, kind="squarefull"):
 def test_corrupt_lane_result_of_sampled_prime_raises(monkeypatch):
     # blocks no longer than the sample are checked at every prime
     assert counting.CROSS_CHECK_SAMPLE >= 16
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None)
     with pytest.raises(ArithmeticError, match="lane search"):
-        hypothesis_scan(2000, block_size=16)
+        hypothesis_scan(2000)
 
 
 @pytest.mark.parametrize("kind", ["squarefull", "squarefree", "nonsquare"])
 def test_corrupt_scan_lane_result_raises(monkeypatch, kind):
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None, kind)
     with pytest.raises(ArithmeticError, match=r"scan_record\(\d+\): lane search"):
-        scan_range(3, 2000, block_size=16)
+        scan_range(3, 2000)
 
 
 def test_corrupt_lane_result_of_reported_prime_raises(monkeypatch):
     _corrupt(monkeypatch, lambda ps, g: 2 if ps[2] == 7 else None)
     with pytest.raises(ArithmeticError, match=r"g_sf\(7\)"):
-        hypothesis_scan(100_000, block_size=4096)
+        hypothesis_scan(100_000)
 
 
 def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
@@ -464,9 +474,9 @@ def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
         return search(ctx, *args)
 
     monkeypatch.setattr(counting, "least_squarefull_pr", record)
-    rep = hypothesis_scan(_LANE_LIMIT, block_size=4096)
+    rep = hypothesis_scan(_LANE_LIMIT)
     want = {p for p, _ in rep.exceptional}
-    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+    for block in counting._prime_blocks(3, _LANE_LIMIT):
         rng = random.Random(f"{int(block[0])}")
         picks = rng.sample(range(len(block)), min(len(block), counting.CROSS_CHECK_SAMPLE))
         want |= {int(block[i]) for i in picks}
@@ -482,10 +492,10 @@ def test_scan_cross_check_covers_reported_and_sampled_primes(monkeypatch):
         return scalar(p)
 
     monkeypatch.setattr(counting, "scan_record", record)
-    records = scan_range(3, _LANE_LIMIT, block_size=4096)
+    records = scan_range(3, _LANE_LIMIT)
     want = {r.p for r in records if r.g_squarefull >= r.p}
     assert {3, 5, 7} <= want
-    for block in counting._prime_blocks(3, _LANE_LIMIT, 4096):
+    for block in counting._prime_blocks(3, _LANE_LIMIT):
         rng = random.Random(f"{int(block[0])}")
         picks = rng.sample(range(len(block)), min(len(block), counting.CROSS_CHECK_SAMPLE))
         want |= {int(block[i]) for i in picks}
@@ -539,9 +549,11 @@ def test_scan_csv_to_1e6_pinned():
     assert digest == "ba6944ed280e0986282a95075e7a9784e454ad5ab0929f41d0c4c970fc937ee7"
 
 
-def test_scan_jobs_independent():
-    one = scan_range(3, 2000, jobs=1, block_size=16)
-    two = scan_range(3, 2000, jobs=2, block_size=16)
+def test_scan_jobs_independent(monkeypatch):
+    # the fork pool's workers inherit the patched block size
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
+    one = scan_range(3, 2000, jobs=1)
+    two = scan_range(3, 2000, jobs=2)
     assert [r.csv_row() for r in one] == [r.csv_row() for r in two]
 
 
@@ -565,13 +577,15 @@ class _RecordingPool:
 @pytest.mark.parametrize(
     "run, jobs, want",
     [
-        (lambda jobs: scan_range(3, 100, jobs=jobs, block_size=16), 16, [2]),
-        (lambda jobs: hypothesis_scan(2000, jobs=jobs, block_size=64), 16, [5]),
-        (lambda jobs: hypothesis_scan(2000, jobs=jobs, block_size=64), 3, [3]),
-        (lambda jobs: scan_range(3, 10, jobs=jobs, block_size=16), 16, []),
+        # blocks of 16 primes: 24 primes to 100, 77 to 400 and 3 to 10
+        (lambda jobs: scan_range(3, 100, jobs=jobs), 16, [2]),
+        (lambda jobs: hypothesis_scan(400, jobs=jobs), 16, [5]),
+        (lambda jobs: hypothesis_scan(400, jobs=jobs), 3, [3]),
+        (lambda jobs: scan_range(3, 10, jobs=jobs), 16, []),
     ],
 )
 def test_pool_workers_capped_by_blocks(monkeypatch, run, jobs, want):
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     requested = []
     monkeypatch.setattr(
         multiprocessing.get_context("fork"), "Pool", lambda n: _RecordingPool(requested, n)
@@ -587,8 +601,9 @@ def test_scan_rejects_bad_range():
         scan_range(10, 3)
 
 
-def test_hypothesis_scan_small():
-    rep = hypothesis_scan(2000, jobs=2, block_size=64)
+def test_hypothesis_scan_small(monkeypatch):
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 64)
+    rep = hypothesis_scan(2000, jobs=2)
     assert isinstance(rep, HypothesisReport)
     pairs = dict(rep.exceptional)
     assert pairs[3] == 8 and pairs[5] == 8 and pairs[7] == 108
@@ -596,7 +611,7 @@ def test_hypothesis_scan_small():
     ps = [p for p, _ in rep.exceptional]
     assert ps == sorted(ps)
     assert rep.largest == ps[-1]
-    inline = hypothesis_scan(2000, jobs=1, block_size=64)
+    inline = hypothesis_scan(2000, jobs=1)
     assert inline.exceptional == rep.exceptional
 
 
