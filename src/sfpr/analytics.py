@@ -276,7 +276,10 @@ def _cp_closed(ctx: PrimeContext) -> float:
 
 def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
     """Both routes to C_p; raises if they disagree beyond their combined
-    certificates plus tol."""
+    certificates plus tol, which must be positive and finite (an infinite
+    one would switch the comparison off)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     direct, direct_bound, n_direct = _cp_direct(ctx)
     lval = L_quadratic(ctx, min(tol, _L_TOL))
     closed = zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value

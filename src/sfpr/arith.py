@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Factorization",
     "sieve_primes",
     "is_prime",
     "factorize",
@@ -25,7 +23,6 @@ __all__ = [
     "euler_phi",
     "mobius",
     "mobius_table",
-    "omega",
     "legendre",
     "is_primitive_root",
     "least_primitive_root",
@@ -112,18 +109,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod p^e with factors ascending; primes are the distinct p."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(p for p, _ in self.factors))
-
-
 _TRIAL_LIMIT = 100_000
 _trial_primes: list[int] | None = None
 
@@ -163,11 +148,11 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division, then Brent rho on the cofactor."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n, primes ascending, by trial division,
+    then Brent rho on the cofactor."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
-    original = n
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
@@ -189,34 +174,29 @@ def factorize(n: int) -> Factorization:
             stack.append(m // d)
     if n > 1:  # no prime up to sqrt(n) divides it
         out[n] = out.get(n, 0) + 1
-    return Factorization(original, tuple(sorted(out.items())))
+    return tuple(sorted(out.items()))
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     ds = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
 
 def euler_phi(n: int) -> int:
     phi = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
 
 def mobius(n: int) -> int:
-    fac = factorize(n).factors
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(factorize(n).factors)
 
 
 @functools.lru_cache(maxsize=4)
@@ -247,34 +227,34 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def is_primitive_root(a: int, ctx) -> bool:
-    """ctx supplies .p and .p1_primes, the distinct prime divisors of p-1."""
-    p = ctx.p
+def is_primitive_root(a: int, p: int, qs) -> bool:
+    """a generates the units mod the prime p; qs are the distinct primes of
+    p - 1."""
     if a % p == 0:
         return False
     n = p - 1
-    for q in ctx.p1_primes:
+    for q in qs:
         if pow(a, n // q, p) == 1:
             return False
     return True
 
 
-def least_primitive_root(p: int, p1: Factorization | None = None) -> int:
-    """g(p), the smallest positive primitive root; p1, when given, is the
-    factorization of p - 1, which is then not recomputed."""
+def least_primitive_root(p: int, qs=None) -> int:
+    """g(p), the smallest positive primitive root. qs, when given, are the
+    distinct primes of p - 1, which is then not factored again; a qs with a
+    q < 2, a q not dividing p - 1, or missing a prime of p - 1 is refused
+    (none is missing exactly when p - 1 divides prod(qs)^k, k >= log2(p))."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("modulus must be an odd prime")
     n = p - 1
-    if p1 is None:
-        p1 = factorize(n)
-    elif p1.n != n:
-        raise ValueError(f"factorization of {p1.n} given for p - 1 = {n}")
-    qs = p1.primes
+    if qs is None:
+        qs = [q for q, _ in factorize(n)]
+    elif any(q < 2 or n % q for q in qs) or pow(math.prod(qs), n.bit_length(), n):
+        raise ValueError(f"primes {tuple(qs)} given are not those of p - 1 = {n}")
     a = 2
-    while True:
-        if all(pow(a, n // q, p) != 1 for q in qs):
-            return a
+    while not is_primitive_root(a, p, qs):
         a += 1
+    return a
 
 
 def icbrt(n: int) -> int:

@@ -41,21 +41,18 @@ MAX_QR_P = 1 << 24
 
 @dataclass(eq=False)
 class PrimeContext:
-    """Fixed data for one modulus: p, the factored p-1, a generator, and
-    lazily-built discrete-log, root-of-unity and residue tables."""
+    """Fixed data for one modulus: p, a generator, the distinct primes of
+    p-1 (ascending), and lazily-built discrete-log, root-of-unity and
+    residue tables."""
 
     p: int
     generator: int
-    p1_factorization: arith.Factorization
+    p1_primes: tuple[int, ...]
 
     _index_table: np.ndarray | None = field(default=None, repr=False)
     _roots: np.ndarray | None = field(default=None, repr=False)
     _qr_signs: np.ndarray | None = field(default=None, repr=False)
     _is_pr: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def p1_primes(self) -> tuple[int, ...]:
-        return self.p1_factorization.primes
 
     # -- discrete logarithm -------------------------------------------------
 
@@ -144,10 +141,6 @@ def build_context(p: int) -> PrimeContext:
     if p % 2 == 0:
         raise ValueError("modulus must be an odd prime")
     # p - 1 is factored once; least_primitive_root tests p for primality
-    p1 = arith.factorize(p - 1)
-    return PrimeContext(
-        p=p,
-        generator=arith.least_primitive_root(p, p1),
-        p1_factorization=p1,
-    )
+    qs = tuple(q for q, _ in arith.factorize(p - 1))
+    return PrimeContext(p=p, generator=arith.least_primitive_root(p, qs), p1_primes=qs)
 

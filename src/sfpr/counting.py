@@ -31,11 +31,14 @@ every character when p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of
 CHECK_RTOL or more raises ArithmeticError.
 
 Each least element is the first primitive root along a fixed ascending list
-of candidates, shared by every search of the process and grown on demand:
-the square-full non-squares for g_sf(p), the square-free numbers from 2, and
-the non-squares from 2 for g(p). Dropping the squares is exact for every odd
-p: a square is 0 or a quadratic residue mod p, and 2 | p - 1, so its order
-divides (p - 1)/2 and it is never a primitive root.
+of candidates, tested against the distinct primes of p - 1 by
+arith.is_primitive_root. Each list has one source, started on first use and
+drawn from once per process, so every search shares what was drawn: the
+square-full non-squares of squarefull.squarefull_stream for g_sf(p), the
+square-free m >= 2 (mu(m) != 0, by arith.mobius), and the non-squares from 2
+for g(p), the n-th being n + round(sqrt(n)). Dropping the squares is exact
+for every odd p: a square is 0 or a quadratic residue mod p, and 2 | p - 1,
+so its order divides (p - 1)/2 and it is never a primitive root.
 
 Scans find all three for a whole block of 4096 primes at once, in numpy
 lanes. The distinct primes of every p - 1, and so omega(p - 1), come from one
@@ -60,9 +63,9 @@ is deterministic for any worker count.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
+import itertools
 import math
 import multiprocessing
 import random
@@ -278,87 +281,58 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
 # -- least elements ---------------------------------------------------------
 
 
-# The candidate lists (see the module docstring), grown in place on demand;
-# the square-full stream starts on first use, not at import.
-_NONSQUARE_SQUAREFULL: list[int] = []
-_CANDIDATE_STEP = 256
-_squarefull_source: Iterator[int] | None = None
-
-
-def _nonsquare_squarefull(count: int) -> list[int]:
-    """The square-full non-squares, grown in steps of _CANDIDATE_STEP
-    entries until they number count or more."""
-    global _squarefull_source
-    cands = _NONSQUARE_SQUAREFULL
-    if len(cands) < count:
-        if _squarefull_source is None:
-            _squarefull_source = squarefull.squarefull_stream()
-        want = max(count, len(cands) + _CANDIDATE_STEP)
-        for m in _squarefull_source:
-            if math.isqrt(m) ** 2 != m:
-                cands.append(m)
-                if len(cands) == want:
-                    break
-    return cands
-
-
-_SQUAREFREE: list[int] = []
-
-
-def _squarefree_above_one(count: int) -> list[int]:
-    """The square-free numbers >= 2, regrown from a table twice as long until
-    they number count or more."""
-    cands = _SQUAREFREE
-    top = max(64, 2 * (cands[-1] if cands else 0))
-    while len(cands) < count:
-        cands[:] = (np.flatnonzero(squarefull.squarefree_table(top)[2:]) + 2).tolist()
-        top *= 2
-    return cands
-
-
-_NONSQUARES: list[int] = []
-
-
-def _nonsquares(count: int) -> list[int]:
-    """The non-squares >= 2, grown until they number count or more: the n-th
-    is n + round(sqrt(n))."""
-    cands = _NONSQUARES
-    cands.extend(n + (1 + math.isqrt(4 * n)) // 2 for n in range(len(cands) + 1, count + 1))
-    return cands
-
-
-# kind -> (grower of its candidate list, k), in ScanRecord's column order:
-# every candidate is m = a^2 b, b square-free, each prime of b <= m^(1/k)
+# kind -> (source of its candidates, k), in ScanRecord's column order: every
+# candidate is m = a^2 b, b square-free, each prime of b <= m^(1/k). A source
+# is built on first use, so the square-full stream starts then, not at import
 _KINDS = {
-    "squarefull": (_nonsquare_squarefull, 3),
-    "squarefree": (_squarefree_above_one, 1),
-    "nonsquare": (_nonsquares, 1),
+    "squarefull": (
+        lambda: (m for m in squarefull.squarefull_stream() if math.isqrt(m) ** 2 != m),
+        3,
+    ),
+    "squarefree": (lambda: (m for m in itertools.count(2) if arith.mobius(m)), 1),
+    # the n-th non-square is n + round(sqrt(n))
+    "nonsquare": (lambda: (n + (1 + math.isqrt(4 * n)) // 2 for n in itertools.count(1)), 1),
 }
 
 
-def _first_pr(grow, ctx) -> int:
-    """The first primitive root mod ctx.p along the candidate list of grow,
-    up to SEARCH_CEILING; ctx supplies .p and .p1_primes."""
+@functools.cache
+def _memo(kind: str) -> tuple[list[int], Iterator[int]]:
+    """The candidates of kind drawn so far, and its source."""
+    return [], _KINDS[kind][0]()
+
+
+def _candidates(kind: str) -> Iterator[int]:
+    """The candidate list of kind (a key of _KINDS), ascending, drawn from
+    its source once per process and shared by every search."""
+    drawn, source = _memo(kind)
     i = 0
     while True:
-        m = grow(i + 1)[i]
+        if i == len(drawn):
+            drawn.append(next(source))
+        yield drawn[i]
+        i += 1
+
+
+def _first_pr(kind: str, p: int, qs) -> int:
+    """The first primitive root mod p along the candidate list of kind, up to
+    SEARCH_CEILING; qs are the distinct primes of p - 1."""
+    for m in _candidates(kind):
         if m > SEARCH_CEILING:
             raise ArithmeticError(
-                f"no primitive root mod {ctx.p} among the candidates below {SEARCH_CEILING}"
+                f"no primitive root mod {p} among the candidates below {SEARCH_CEILING}"
             )
-        if arith.is_primitive_root(m, ctx):
+        if arith.is_primitive_root(m, p, qs):
             return m
-        i += 1
 
 
 def least_squarefull_pr(ctx: PrimeContext) -> int:
     """g_sf(p): the first primitive root along the square-full non-squares."""
-    return _first_pr(_nonsquare_squarefull, ctx)
+    return _first_pr("squarefull", ctx.p, ctx.p1_primes)
 
 
 def least_squarefree_pr(ctx: PrimeContext) -> int:
     """The least square-free primitive root mod p."""
-    return _first_pr(_squarefree_above_one, ctx)
+    return _first_pr("squarefree", ctx.p, ctx.p1_primes)
 
 
 # -- deterministic sharded scans --------------------------------------------
@@ -421,17 +395,13 @@ _LANE_HEAD = 512
 _LANE_FIRST = 2
 
 
-# what arith.is_primitive_root reads of a context: p and the distinct primes of p - 1
-_Factored = collections.namedtuple("_Factored", "p p1_primes")
-
-
 @functools.cache
 def _lane_head(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first _LANE_HEAD candidates m of kind as int64, the primes l with
     l^k <= the last of them, and the 0/1 matrix [l divides m an odd number of
     times], i.e. [l | b], one row per l."""
-    grow, k = _KINDS[kind]
-    cands = np.array(grow(_LANE_HEAD)[:_LANE_HEAD], dtype=np.int64)
+    k = _KINDS[kind][1]
+    cands = np.fromiter(_candidates(kind), dtype=np.int64, count=_LANE_HEAD)
     top = int(cands[-1])
     ells = arith.sieve_primes(max(2, arith.icbrt(top) if k == 3 else top))
     rest = np.broadcast_to(cands, (len(ells), len(cands))).copy()
@@ -478,7 +448,7 @@ def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray
         lo = hi
     for i in live:
         row = p1_primes[i]
-        g[i] = _first_pr(_KINDS[kind][0], _Factored(int(ps[i]), tuple(row[row > 0].tolist())))
+        g[i] = _first_pr(kind, int(ps[i]), tuple(row[row > 0].tolist()))
     return g
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -23,50 +22,14 @@ import numpy as np
 from . import arith
 
 __all__ = [
-    "CanonicalPair",
-    "is_squarefull",
-    "canonical_decompose",
     "enumerate_squarefull",
     "squarefull_stream",
-    "squarefull_count",
     "squarefull_runs",
     "squarefree_table",
     "enumerate_prime_powerful",
     "add_runs",
     *("squarefree_walk", "squarefull_walk", "prime_powerful_walk"),
 ]
-
-
-@dataclass(frozen=True)
-class CanonicalPair:
-    """m = a^2 b^3, b square-free."""
-
-    a: int
-    b: int
-
-    @property
-    def value(self) -> int:
-        return self.a * self.a * self.b**3
-
-
-def is_squarefull(n: int) -> bool:
-    """True iff every prime dividing n divides it at least twice. n=1 counts."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return all(e >= 2 for _, e in arith.factorize(n).factors)
-
-
-def canonical_decompose(n: int) -> CanonicalPair:
-    a, b = 1, 1
-    for p, e in arith.factorize(n).factors:
-        if e < 2:
-            raise ValueError(f"{n} is not square-full")
-        if e % 2:
-            b *= p
-            a *= p ** ((e - 3) // 2)
-        else:
-            a *= p ** (e // 2)
-    return CanonicalPair(a, b)
 
 
 def squarefree_table(x: int) -> np.ndarray:
@@ -116,11 +79,6 @@ def squarefull_runs(x: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need x >= 1")
     b = np.flatnonzero(squarefree_table(arith.icbrt(x)))
     return b, np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
-
-
-def squarefull_count(x: int) -> int:
-    """|{square-full m <= x}| via the a^2 b^3 bijection, no enumeration."""
-    return int(squarefull_runs(x)[1].sum())
 
 
 def enumerate_prime_powerful(x: int) -> list[int]:

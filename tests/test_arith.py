@@ -5,7 +5,6 @@ phi) are deliberately independent of the implementations they check.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith
+
+
+def primes_of(n):
+    """The distinct primes of n, ascending, read off arith.factorize."""
+    return tuple(q for q, _ in arith.factorize(n))
 
 
 def oracle_trial_factor(n):
@@ -111,7 +115,7 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_frozen_example(self):
-        assert arith.factorize(1052040).factors == (
+        assert arith.factorize(1052040) == (
             (2, 3),
             (3, 1),
             (5, 1),
@@ -119,13 +123,16 @@ class TestFactorize:
             (797, 1),
         )
 
-    def test_primes_computed_once(self):
-        fac = arith.factorize(2**4 * 3 * 101)
-        assert fac.primes == (2, 3, 101)
-        assert fac.primes is fac.primes
+    def test_primes_computed_once(self, monkeypatch):
+        # the primes are read off the pairs once; given to
+        # least_primitive_root, p - 1 is not factored again
+        assert primes_of(2**4 * 3 * 101) == (2, 3, 101)
+        qs, g = primes_of(1052040), arith.least_primitive_root(1052041)
+        monkeypatch.setattr(arith, "factorize", None)
+        assert arith.least_primitive_root(1052041, qs) == g
 
     def test_one(self):
-        assert arith.factorize(1).factors == ()
+        assert arith.factorize(1) == ()
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -135,23 +142,23 @@ class TestFactorize:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_and_oracle(self, n):
         fac = arith.factorize(n)
-        assert fac.factors == oracle_trial_factor(n)
+        assert fac == oracle_trial_factor(n)
         prod = 1
-        for p, e in fac.factors:
+        for p, e in fac:
             prod *= p**e
         assert prod == n
 
     def test_semiprime_rho_path(self):
         n = 1000003 * 1000033
-        assert arith.factorize(n).factors == ((1000003, 1), (1000033, 1))
+        assert arith.factorize(n) == ((1000003, 1), (1000033, 1))
 
     def test_prime_power_rho_path(self):
         q = 1000003
-        assert arith.factorize(q * q).factors == ((q, 2),)
+        assert arith.factorize(q * q) == ((q, 2),)
 
     def test_two_primes_just_above_trial_limit(self):
-        assert arith.factorize(100003 * 100019).factors == ((100003, 1), (100019, 1))
-        assert arith.factorize(2 * 3 * 100003 * 100019).factors == (
+        assert arith.factorize(100003 * 100019) == ((100003, 1), (100019, 1))
+        assert arith.factorize(2 * 3 * 100003 * 100019) == (
             (2, 1), (3, 1), (100003, 1), (100019, 1),
         )
 
@@ -166,14 +173,14 @@ class TestFactorize:
                 d = int(spf[m])
                 want[d] = want.get(d, 0) + 1
                 m //= d
-            assert arith.factorize(n).factors == tuple(sorted(want.items())), n
+            assert arith.factorize(n) == tuple(sorted(want.items())), n
 
     def test_no_primality_test_when_trial_division_finishes(self, monkeypatch):
         tested = []
         is_prime = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
-        assert arith.factorize(1052041 - 1).primes == (2, 3, 5, 11, 797)
-        assert arith.factorize(2 * 999983).primes == (2, 999983)
+        assert primes_of(1052041 - 1) == (2, 3, 5, 11, 797)
+        assert primes_of(2 * 999983) == (2, 999983)
         assert tested == []
 
 
@@ -198,11 +205,6 @@ class TestMultiplicativeFunctions:
         mu = arith.mobius_table(2000)
         for n in range(1, 2001):
             assert int(mu[n]) == arith.mobius(n)
-
-    def test_omega(self):
-        assert arith.omega(1) == 0
-        assert arith.omega(1052040) == 5
-        assert arith.omega(2**10) == 1
 
     def test_divisors(self):
         assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
@@ -253,23 +255,29 @@ class TestPrimitiveRoots:
 
     def test_least_with_given_factorization(self):
         for p in (3, 7, 41, 1052041):
-            given = arith.factorize(p - 1)
+            given = primes_of(p - 1)
             assert arith.least_primitive_root(p, given) == arith.least_primitive_root(p)
 
     def test_least_rejects_wrong_factorization(self):
         with pytest.raises(ValueError):
-            arith.least_primitive_root(41, arith.factorize(42))
+            arith.least_primitive_root(41, primes_of(42))
+
+    @pytest.mark.parametrize("qs", [(2,), (5,), (1, 2, 5), (2, 5, 7)])
+    def test_least_rejects_incomplete_primes(self, qs):
+        # (2,) alone would make 3, of order 8 mod 41, pass as g(41)
+        with pytest.raises(ValueError, match="not those of p - 1 = 40"):
+            arith.least_primitive_root(41, qs)
 
     def test_least_with_factorization_still_checks_modulus(self):
         with pytest.raises(ValueError, match="modulus must be an odd prime"):
-            arith.least_primitive_root(9, arith.factorize(8))
+            arith.least_primitive_root(9, primes_of(8))
 
     def test_is_primitive_root_exhaustive(self):
         for p in (3, 5, 7, 11, 13):
-            ctx = SimpleNamespace(p=p, p1_primes=arith.factorize(p - 1).primes)
+            qs = primes_of(p - 1)
             for a in range(0, 3 * p):
                 want = a % p != 0 and oracle_order(a, p) == p - 1
-                assert arith.is_primitive_root(a, ctx) == want
+                assert arith.is_primitive_root(a, p, qs) == want
 
 
 class TestIcbrt:
@@ -303,14 +311,14 @@ class TestLanes:
         ns = np.arange(1, 5001, dtype=np.int64)
         got = arith.prime_factors_lanes(ns)
         for n, row in zip(ns, got):
-            assert tuple(row[row > 0].tolist()) == arith.factorize(int(n)).primes, n
+            assert tuple(row[row > 0].tolist()) == primes_of(int(n)), n
 
     def test_prime_factors_window_below_the_bound(self):
         top = arith.MAX_INT64_MODULUS
         ns = np.arange(top - 3000, top + 1, 7, dtype=np.int64)
         got = arith.prime_factors_lanes(ns)
         for n, row in zip(ns, got):
-            assert tuple(row[row > 0].tolist()) == arith.factorize(int(n)).primes, n
+            assert tuple(row[row > 0].tolist()) == primes_of(int(n)), n
 
     def test_prime_factors_one_and_empty(self):
         assert arith.prime_factors_lanes(np.array([1], dtype=np.int64)).shape == (1, 0)

@@ -48,7 +48,6 @@ class TestContext:
         ctx = build_context(7)
         assert ctx.p == 7
         assert ctx.generator == 3
-        assert ctx.p1_factorization.factors == ((2, 1), (3, 1))
         assert ctx.p1_primes == (2, 3)
 
     def test_rejects_non_prime(self):
@@ -70,7 +69,7 @@ class TestContext:
         ctx = build_context(p)
         assert factorized == [p - 1]
         assert tested.count(p) == 1
-        assert ctx.p1_factorization.n == p - 1
+        assert ctx.p1_primes == tuple(q for q, _ in factorize(p - 1))
         assert pow(ctx.generator, (p - 1) // 2, p) == p - 1
 
     def test_index_roundtrip(self):

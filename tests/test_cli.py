@@ -138,10 +138,10 @@ def test_count_bad_tolerance(capsys, tolerance):
 def _euler_pr_count(p, x, target):
     """Square-full or square-free m <= x that are primitive roots mod p, by
     Euler's criterion at every prime q | p - 1."""
-    qs = arith.factorize(p - 1).primes
+    qs = [q for q, _ in arith.factorize(p - 1)]
     count = 0
     for m in range(2, x + 1):
-        exps = [e for _, e in arith.factorize(m).factors]
+        exps = [e for _, e in arith.factorize(m)]
         if (min(exps) >= 2) if target == "squarefull" else (max(exps) == 1):
             count += all(pow(m, (p - 1) // q, p) != 1 for q in qs)
     return count
@@ -164,7 +164,7 @@ def test_count_large_modulus_budget(tmp_path, argv):
     code, out, err, wall, rss_mb = run_measured(tmp_path, ["count", *argv], timeout=60)
     assert code == 0, err
     rep = json.loads(out)
-    assert rep["characters_used"] == math.prod(arith.factorize(rep["p"] - 1).primes)
+    assert rep["characters_used"] == math.prod(q for q, _ in arith.factorize(rep["p"] - 1))
     if rep["residual"] is not None:
         assert rep["residual"] <= 1e-6 * rep["characters_used"]
     else:
@@ -395,6 +395,15 @@ def test_constants_bad_tolerance(capsys):
     code, _, err = run_cli(capsys, "constants", "--p", "7", "--tolerance", "-1")
     assert code == 1
     assert "tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_constants_tolerance_must_be_positive_and_finite(capsys, tolerance):
+    # an infinite tolerance would switch off the gate between the C_p routes
+    code, out, err = run_cli(capsys, "constants", "--p", "7", "--tolerance", tolerance)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance must be positive and finite" in err
 
 
 def test_constants_past_max_qr_p_fails_fast(tmp_path):

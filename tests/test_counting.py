@@ -344,15 +344,44 @@ def test_least_squarefree_every_prime_below_3000():
         assert least_squarefree_pr(build_context(p)) == oracle_least_squarefree_pr(p), p
 
 
-def test_shared_squarefree_candidates():
-    want = [m for m in range(2, 5000) if oracle_is_squarefree(m)]
-    assert counting._squarefree_above_one(len(want))[: len(want)] == want
+def oracle_squarefull_table(top):
+    """t[m] = [m is square-full] for 0 <= m <= top, by a sieve: no prime
+    divides m exactly once, and every prime of a square-full m <= top is at
+    most sqrt(top), so nothing is left after dividing out those primes."""
+    rest = np.arange(top + 1)
+    t = rest >= 1
+    for q in filter(oracle_is_prime, range(2, math.isqrt(top) + 1)):
+        t[q::q] &= np.arange(q, top + 1, q) % (q * q) == 0
+        qe = q
+        while qe <= top:
+            rest[qe::qe] //= q
+            qe *= q
+    return t & (rest == 1)
 
 
-def test_shared_candidates_are_squarefull_nonsquares():
-    want = [m for m in squarefull.enumerate_squarefull(10**6) if math.isqrt(m) ** 2 != m]
-    assert want[:4] == [8, 27, 32, 72]
-    assert counting._nonsquare_squarefull(len(want))[: len(want)] == want
+# kind -> (the brute filter's range, its first members)
+_CANDIDATE_ORACLE = {
+    "squarefull": (3_700_000, [8, 27, 32, 72]),
+    "squarefree": (5000, [2, 3, 5, 6]),
+    "nonsquare": (5000, [2, 3, 5, 6]),
+}
+
+
+@pytest.mark.parametrize("kind", list(counting._KINDS))
+def test_candidate_sources(kind):
+    # every search walks one shared list per kind: the non-squares m >= 2
+    # that are square-full, square-free or anything, by a brute filter
+    top, head = _CANDIDATE_ORACLE[kind]
+    keep = np.ones(top + 1, dtype=bool)
+    keep[:2] = False
+    keep[np.arange(math.isqrt(top) + 1) ** 2] = False
+    if kind == "squarefull":
+        keep &= oracle_squarefull_table(top)
+    elif kind == "squarefree":
+        keep &= [oracle_is_squarefree(m) for m in range(top + 1)]
+    want = np.flatnonzero(keep).tolist()
+    assert want[:4] == head and len(want) >= 2000
+    assert [m for m, _ in zip(counting._candidates(kind), want)] == want
 
 
 def test_hypothesis_scan_matches_pinned_pairs():
@@ -397,7 +426,7 @@ def test_block_factorization_matches_factorize():
     for block in counting._prime_blocks(3, _LANE_LIMIT):
         rows = arith.prime_factors_lanes(block - 1)
         for p, row in zip(block.tolist(), rows):
-            assert tuple(row[row > 0].tolist()) == arith.factorize(p - 1).primes, p
+            assert tuple(row[row > 0].tolist()) == tuple(q for q, _ in arith.factorize(p - 1)), p
 
 
 def test_lane_tail_reached():

@@ -1,16 +1,13 @@
-"""Square-full enumeration tests: frozen small sets, the a^2 b^3 bijection,
-count formulas, and asymptotic sanity."""
+"""Square-full enumeration tests: frozen small sets, the a^2 b^3 count, and
+asymptotic sanity."""
 
 import itertools
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sfpr import squarefull
-from sfpr.arith import icbrt, mobius, mobius_table
+from sfpr.arith import mobius, mobius_table
 
 SQUAREFULL_TO_100 = [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
 PRIME_POWERFUL_TO_1000 = [32, 72, 108, 200, 243, 392, 500, 675, 968]
@@ -30,43 +27,6 @@ def oracle_is_squarefull(n):
     return n == 1
 
 
-class TestPredicates:
-    def test_frozen_small_set(self):
-        got = [n for n in range(1, 101) if squarefull.is_squarefull(n)]
-        assert got == SQUAREFULL_TO_100
-
-    def test_against_oracle(self):
-        for n in range(1, 2000):
-            assert squarefull.is_squarefull(n) == oracle_is_squarefull(n)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            squarefull.is_squarefull(0)
-
-
-class TestCanonicalDecompose:
-    def test_frozen_pairs(self):
-        assert squarefull.canonical_decompose(72) == squarefull.CanonicalPair(3, 2)
-        assert squarefull.canonical_decompose(108) == squarefull.CanonicalPair(2, 3)
-        assert squarefull.canonical_decompose(1) == squarefull.CanonicalPair(1, 1)
-        assert squarefull.canonical_decompose(32) == squarefull.CanonicalPair(2, 2)
-
-    def test_rejects_non_squarefull(self):
-        with pytest.raises(ValueError):
-            squarefull.canonical_decompose(12)
-
-    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=46))
-    @settings(max_examples=150, deadline=None)
-    def test_bijection_roundtrip(self, a, b):
-        # restrict to square-free b, the canonical side of the bijection
-        if any(b % (d * d) == 0 for d in range(2, int(math.isqrt(b)) + 1)):
-            return
-        m = a * a * b**3
-        pair = squarefull.canonical_decompose(m)
-        assert (pair.a, pair.b) == (a, b)
-        assert pair.value == m
-
-
 class TestEnumeration:
     def test_matches_filter_oracle(self):
         got = list(squarefull.enumerate_squarefull(10**4))
@@ -79,7 +39,7 @@ class TestEnumeration:
 
     def test_count_matches_enumeration(self):
         for x in (1, 100, 12345, 10**4, 10**6):
-            n = squarefull.squarefull_count(x)
+            n = squarefull.squarefull_runs(x)[1].sum()
             assert n == sum(1 for _ in squarefull.enumerate_squarefull(x))
 
     def test_unbounded_stream_prefix(self):
@@ -92,7 +52,7 @@ class TestEnumeration:
         z32_over_z3 = 2.6123753486854883 / 1.2020569031595943
         z23_over_z2 = -2.447580736155452 / (math.pi**2 / 6)
         x = 10**10
-        n = squarefull.squarefull_count(x)
+        n = squarefull.squarefull_runs(x)[1].sum()
         assert n == 214122
         two_term = z32_over_z3 * math.sqrt(x) + z23_over_z2 * x ** (1 / 3)
         assert abs(n - two_term) < 25
