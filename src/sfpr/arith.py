@@ -279,10 +279,10 @@ def pow_mod_lanes(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndar
     square-and-multiply; exact while every mod <= MAX_INT64_MODULUS."""
     result = np.ones_like(mod)
     base = base % mod
-    while exp.any():
-        result = np.where(exp & 1 == 1, result * base % mod, result)
-        base = base * base % mod
-        exp = exp >> 1
+    for i in range(int(exp.max(initial=0)).bit_length()):
+        if i:  # base^(2^i); the top bit needs no square beyond it
+            base = base * base % mod
+        result = np.where((exp >> i) & 1 == 1, result * base % mod, result)
     return result % mod
 
 
@@ -299,12 +299,11 @@ def prime_factors_lanes(ns: np.ndarray) -> np.ndarray:
     slot = np.full(hi - lo + 1, -1, dtype=np.int64)
     slot[ns - lo] = np.arange(len(ns))
     qs = sieve_primes(max(2, math.isqrt(hi)))
-    first = -lo % qs  # offset of the first multiple of q at or above lo
-    counts = np.maximum((hi - lo - first) // qs + 1, 0)
-    q = np.repeat(qs, counts)
-    step = np.arange(len(q)) - np.repeat(np.cumsum(counts) - counts, counts)
-    owner = slot[np.repeat(first, counts) + step * q]
-    q, owner = q[owner >= 0], owner[owner >= 0]
+    # the slots of q's multiples, one strided view per q, kept where an n sits
+    owners = [slot[first::q] for q, first in zip(qs.tolist(), (-lo % qs).tolist())]
+    owners = [o[o >= 0] for o in owners]
+    q = np.repeat(qs, [len(o) for o in owners])
+    owner = np.concatenate(owners)
     # q^e, the full power of q in its n, and the cofactor the small q leave
     power = q.copy()
     n = ns[owner]

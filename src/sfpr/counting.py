@@ -46,10 +46,14 @@ sieve over the block's span (arith.prime_factors_lanes). Every candidate is
 m = a^2 b with b square-free, so (m|p) = (b|p), a product of symbols (l|p),
 each read from p mod 4l by quadratic reciprocity (arith.legendre_lanes):
 residues and multiples of p are dropped without a power, and 2 | p - 1 makes
-the non-residues pass the test at q = 2. The odd q run as int64
+the non-residues pass the test at q = 2. Perfect powers are dropped without
+a power too: if m = c^G and an odd prime s divides both G and p - 1, then
+m^((p-1)/s) = c^(p-1) = 1, so m is never a primitive root (8, 27, 32, 125
+and 128, the first square-full candidates, are all powers). The odd q run as int64
 square-and-multiply lanes (arith.pow_mod_lanes), exact up to
-arith.MAX_INT64_MODULUS, over a head of _LANE_HEAD candidates; the few primes
-still open after it finish on the scalar search. The scalar route is kept as
+arith.MAX_INT64_MODULUS, over a head of _LANE_HEAD candidates, built once
+before any worker forks; the few primes still open after it finish on the
+scalar search. The scalar route is kept as
 the cross-check: every prime a block reports with g_sf(p) >= p, and
 CROSS_CHECK_SAMPLE more drawn by a random.Random seeded from the block's first
 prime, is derived again on build_context (factorization by arith.factorize),
@@ -396,24 +400,32 @@ _LANE_FIRST = 2
 
 
 @functools.cache
-def _lane_head(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lane_head(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first _LANE_HEAD candidates m of kind as int64, the primes l with
-    l^k <= the last of them, and the 0/1 matrix [l divides m an odd number of
-    times], i.e. [l | b], one row per l."""
+    l^k <= the last of them, the 0/1 matrix [l divides m an odd number of
+    times], i.e. [l | b], one row per l, and for each m the odd part r of the
+    gcd of its exponents: m is an r-th power, so it is no primitive root mod
+    any p with gcd(r, p - 1) > 1."""
     k = _KINDS[kind][1]
     cands = np.fromiter(_candidates(kind), dtype=np.int64, count=_LANE_HEAD)
     top = int(cands[-1])
     ells = arith.sieve_primes(max(2, arith.icbrt(top) if k == 3 else top))
     rest = np.broadcast_to(cands, (len(ells), len(cands))).copy()
-    in_b = np.zeros_like(rest)
+    exps = np.zeros_like(rest)
     hit = rest % ells[:, None] == 0
     while hit.any():
-        in_b ^= hit
+        exps += hit
         rest = np.where(hit, rest // ells[:, None], rest)
         hit = rest % ells[:, None] == 0
-    for a in (cands, ells, in_b):
+    in_b = exps % 2
+    # a prime above the ells has l^3 > m, so it divides the square-full m
+    # exactly twice; with k = 1 every prime of m is an ell
+    beyond = (ells[:, None] ** exps).prod(axis=0) < cands
+    g = np.gcd(np.gcd.reduce(exps, axis=0), np.where(beyond, 2, 0))
+    odd_power = g // (g & -g)
+    for a in (cands, ells, in_b, odd_power):
         a.flags.writeable = False
-    return cands, ells, in_b
+    return cands, ells, in_b, odd_power
 
 
 def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray:
@@ -421,7 +433,7 @@ def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray
     _KINDS) for every prime p of the ascending int64 block ps (odd primes,
     each <= arith.MAX_INT64_MODULUS); p1_primes is
     arith.prime_factors_lanes(ps - 1)."""
-    cands, ells, in_b = _lane_head(kind)
+    cands, ells, in_b, odd_power = _lane_head(kind)
     odd_q = p1_primes[:, 1:]  # column 0 is 2 for every even p - 1
     symbols = np.stack([arith.legendre_lanes(int(ell), ps) for ell in ells], axis=1)
     nonres = (symbols == -1).astype(np.int64)
@@ -434,6 +446,7 @@ def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray
         p = ps[live]
         usable = (nonres[live] @ in_b[:, lo:hi]) % 2 == 1
         usable &= m % p[:, None] != 0
+        usable &= np.gcd(odd_power[lo:hi], p[:, None] - 1) == 1
         row, col = np.nonzero(usable)  # row-major: columns ascend within a row
         q = odd_q[live[row]]
         lane = q > 0
@@ -505,6 +518,8 @@ def scan_range(lo: int, hi: int, jobs: int = 1, progress=None) -> list[ScanRecor
     if lo < 3 or hi < lo:
         raise ValueError("need 3 <= lo <= hi")
     blocks = _prime_blocks(lo, hi)
+    for kind in _KINDS:  # built once, so forked workers inherit the heads
+        _lane_head(kind)
     out: list[ScanRecord] = []
     for chunk in _run_blocks(_scan_block, blocks, jobs, progress):
         out.extend(chunk)
@@ -523,6 +538,7 @@ def hypothesis_scan(limit: int, jobs: int = 1, progress=None) -> HypothesisRepor
     if limit < 3:
         raise ValueError("need limit >= 3")
     blocks = _prime_blocks(3, limit)
+    _lane_head("squarefull")  # built once, so forked workers inherit it
     exceptional: list[tuple[int, int]] = []
     for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):
         exceptional.extend(chunk)

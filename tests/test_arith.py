@@ -300,8 +300,16 @@ class TestLanes:
         base = rng.integers(0, 2**62, len(mod))
         exp = rng.integers(0, 2**40, len(mod))
         exp[:3] = 0
+        # edge lanes: exp 0 and 1, base mod - 1, the least odd prime modulus and the bound
+        edges = np.array(
+            [(b, e, m) for m in (3, top) for b in (0, 1, 2, m - 1, m + 1) for e in (0, 1, 2, m - 1)],
+            dtype=np.int64,
+        )
+        base, exp, mod = (np.concatenate([a, edges[:, i]]) for i, a in enumerate((base, exp, mod)))
         got = arith.pow_mod_lanes(base, exp, mod)
         assert got.tolist() == [pow(int(b), int(e), int(m)) for b, e, m in zip(base, exp, mod)]
+        empty = np.array([], dtype=np.int64)
+        assert arith.pow_mod_lanes(empty, empty, empty).shape == (0,)
 
     def test_bound_is_the_largest_int64_square(self):
         m = arith.MAX_INT64_MODULUS

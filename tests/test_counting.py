@@ -451,10 +451,82 @@ def test_lane_tail_of_every_kind(monkeypatch):
 
 
 def test_lane_search_skips_multiples_of_p(monkeypatch):
-    # 200 = 5^2 2^3 is a non-residue by its b = 2, (2|5) = -1, yet 0 mod 5
-    head = (np.array([200, 8]), np.array([2]), np.array([[1, 1]]))
+    # 200 = 5^2 2^3 is a non-residue by its b = 2, (2|5) = -1, yet 0 mod 5;
+    # 8 = 2^3 is a cube, but 3 does not divide 5 - 1
+    head = (np.array([200, 8]), np.array([2]), np.array([[1, 1]]), np.array([1, 3]))
     monkeypatch.setattr(counting, "_lane_head", lambda kind: head)
     assert _lanes(np.array([5]), "squarefull").tolist() == [8]
+
+
+def _odd_part(n):
+    return n // (n & -n)
+
+
+@pytest.mark.parametrize("kind", sorted(counting._KINDS))
+def test_lane_head_odd_power_matches_factorize(kind):
+    cands, _, _, odd_power = counting._lane_head(kind)
+    assert len(cands) == len(odd_power) == counting._LANE_HEAD
+    for m, r in zip(cands.tolist(), odd_power.tolist()):
+        assert r == _odd_part(math.gcd(*(e for _, e in arith.factorize(m)))), m
+
+
+@pytest.mark.parametrize("kind", sorted(counting._KINDS))
+def test_perfect_power_candidates_are_no_primitive_roots(kind):
+    # m an r-th power and s an odd prime of gcd(r, p - 1): m^((p-1)/s) = 1
+    cands, _, _, odd_power = counting._lane_head(kind)
+    powers = [(m, r) for m, r in zip(cands.tolist(), odd_power.tolist()) if r > 1]
+    tested = 0
+    for p in arith.sieve_primes(20000)[1:].tolist():
+        qs = tuple(q for q, _ in arith.factorize(p - 1))
+        for m, r in powers:
+            if math.gcd(r, p - 1) > 1:
+                assert not arith.is_primitive_root(m, p, qs), (m, p)
+                tested += 1
+    assert tested > 0 or not powers
+
+
+def test_hypothesis_pow_lanes_skip_perfect_powers(monkeypatch):
+    # a count of work, not a timer: the squares and cubes of the head's
+    # first columns never reach a power (the lanes without the rule: 181 589)
+    lanes = []
+    pow_lanes = arith.pow_mod_lanes
+
+    def spy(base, exp, mod):
+        lanes.append(exp.size)
+        return pow_lanes(base, exp, mod)
+
+    monkeypatch.setattr(arith, "pow_mod_lanes", spy)
+    hypothesis_scan(_LANE_LIMIT, jobs=1)
+    assert 0 < sum(lanes) <= 115_000
+
+
+@pytest.mark.parametrize(
+    "scan, kinds",
+    [
+        (lambda: hypothesis_scan(20_000, jobs=2), ["squarefull"]),
+        (lambda: scan_range(3, 20_000, jobs=2), sorted(counting._KINDS)),
+    ],
+)
+def test_heads_built_before_the_blocks(monkeypatch, scan, kinds):
+    # forked workers inherit the heads instead of each building them
+    built = []
+    head = counting._lane_head.__wrapped__
+
+    @functools.cache
+    def recorded(kind):
+        built.append(kind)
+        return head(kind)
+
+    run = counting._run_blocks
+
+    def check(worker, blocks, jobs, progress=None):
+        assert sorted(built) == kinds
+        return run(worker, blocks, jobs, progress)
+
+    monkeypatch.setattr(counting, "_lane_head", recorded)
+    monkeypatch.setattr(counting, "_run_blocks", check)
+    scan()
+    assert sorted(built) == kinds
 
 
 def _corrupt(monkeypatch, pick, kind="squarefull"):
