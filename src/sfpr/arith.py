@@ -19,11 +19,9 @@ __all__ = [
     "sieve_primes",
     "is_prime",
     "factorize",
-    "divisors",
     "euler_phi",
     "mobius",
     "mobius_table",
-    "legendre",
     "is_primitive_root",
     "least_primitive_root",
     "icbrt",
@@ -177,14 +175,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):
@@ -215,16 +205,6 @@ def mobius_table(limit: int) -> np.ndarray:
             mu[sq::sq] = 0
     mu.flags.writeable = False
     return mu
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) by Euler's criterion."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError("legendre needs an odd prime modulus")
-    t = pow(a % p, (p - 1) // 2, p)
-    if t == 0:
-        return 0
-    return 1 if t == 1 else -1
 
 
 def is_primitive_root(a: int, p: int, qs) -> bool:
@@ -275,15 +255,24 @@ MAX_INT64_MODULUS = math.isqrt((1 << 63) - 1)  # (m - 1)^2 < 2^63 for every m up
 
 
 def pow_mod_lanes(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod, elementwise over int64 arrays of one shape, by
-    square-and-multiply; exact while every mod <= MAX_INT64_MODULUS."""
-    result = np.ones_like(mod)
-    base = base % mod
-    for i in range(int(exp.max(initial=0)).bit_length()):
-        if i:  # base^(2^i); the top bit needs no square beyond it
-            base = base * base % mod
-        result = np.where((exp >> i) & 1 == 1, result * base % mod, result)
-    return result % mod
+    """base^exp mod mod, elementwise over 1-D int64 arrays of one length, left
+    to right over the 2-bit digits of exp with a table of base^0 .. base^3
+    (k-ary exponentiation, k = 4: Menezes, van Oorschot and Vanstone,
+    Handbook of Applied Cryptography, Alg. 14.82): two squares and one
+    product per digit; exact while every mod <= MAX_INT64_MODULUS."""
+    b = base % mod
+    b2 = b * b % mod
+    # row i of the flat table holds base^0 .. base^3 mod mod[i]
+    table = np.stack([1 % mod, b, b2, b2 * b % mod], axis=1).ravel()
+    row = np.arange(0, len(table), 4)
+    # the bits of the largest exp, rounded up to whole digits
+    shift = max(2, (int(exp.max(initial=0)).bit_length() + 1) & ~1)
+    result = table[row + ((exp >> (shift - 2)) & 3)]
+    for s in range(shift - 4, -1, -2):
+        result = result * result % mod
+        result = result * result % mod
+        result = result * table[row + ((exp >> s) & 3)] % mod
+    return result
 
 
 def prime_factors_lanes(ns: np.ndarray) -> np.ndarray:
@@ -317,7 +306,9 @@ def prime_factors_lanes(ns: np.ndarray) -> np.ndarray:
     big = np.flatnonzero(cofactor > 1)
     owner = np.concatenate([owner, big])
     q = np.concatenate([q, cofactor[big]])
-    order = np.lexsort((q, owner))
+    # by owner alone, stably: the small q come in ascending order, and the
+    # cofactor, last, exceeds them all
+    order = np.argsort(owner.astype(np.min_scalar_type(len(ns) - 1)), kind="stable")
     owner, q = owner[order], q[order]
     rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
     out = np.zeros((len(ns), int(rank.max(initial=-1)) + 1), dtype=np.int64)

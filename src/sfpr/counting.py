@@ -49,16 +49,20 @@ residues and multiples of p are dropped without a power, and 2 | p - 1 makes
 the non-residues pass the test at q = 2. Perfect powers are dropped without
 a power too: if m = c^G and an odd prime s divides both G and p - 1, then
 m^((p-1)/s) = c^(p-1) = 1, so m is never a primitive root (8, 27, 32, 125
-and 128, the first square-full candidates, are all powers). The odd q run as int64
-square-and-multiply lanes (arith.pow_mod_lanes), exact up to
-arith.MAX_INT64_MODULUS, over a head of _LANE_HEAD candidates, built once
-before any worker forks; the few primes still open after it finish on the
-scalar search. The scalar route is kept as
-the cross-check: every prime a block reports with g_sf(p) >= p, and
-CROSS_CHECK_SAMPLE more drawn by a random.Random seeded from the block's first
-prime, is derived again on build_context (factorization by arith.factorize),
-by scan_record for scan_range and least_squarefull_pr for hypothesis_scan; a
-disagreement raises ArithmeticError.
+and 128, the first square-full candidates, are all powers). Both rules are
+bit masks: a prime's non-residue ells and a candidate's b are packed into
+uint64 words, whose common bits must be odd in number, and the odd primes s
+of p - 1 and of G must have no bit in common. The odd q run as int64 power
+lanes (arith.pow_mod_lanes), exact up to arith.MAX_INT64_MODULUS, over a
+head of _LANE_HEAD candidates, built once before any worker forks; the few
+primes still open after it go on along heads twice as long, to
+SEARCH_CEILING, so every prime of a block is found in lanes. The scalar
+search is only the cross-check: every prime a block reports with
+g_sf(p) >= p, and CROSS_CHECK_SAMPLE more drawn by a random.Random seeded
+from the block's first prime, is derived again on build_context
+(factorization by arith.factorize), by scan_record for scan_range and
+least_squarefull_pr for hypothesis_scan; a disagreement raises
+ArithmeticError.
 
 The blocks are contiguous slices of one sieve; workers (never more than there
 are blocks) pull blocks, the parent flushes results in block order, so output
@@ -75,7 +79,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -393,75 +397,133 @@ def _prime_blocks(lo: int, hi: int) -> list[np.ndarray]:
 #
 # A pass takes the next columns of the head for every prime still open,
 # _LANE_FIRST in the first and twice as many in each next: most primes stop
-# at their first non-residues.
+# at their first non-residues. Primes still open at the end of a head go on
+# along the next head, twice as long, to SEARCH_CEILING.
 
 _LANE_HEAD = 512
 _LANE_FIRST = 2
 
 
+class _Head(NamedTuple):
+    cands: np.ndarray  # the candidates m, int64 ascending
+    ells: np.ndarray  # the primes l with l^k <= the last m
+    in_b: np.ndarray  # [l divides m an odd number of times], one row per l
+    odd_power: np.ndarray  # the odd part r of the gcd of m's exponents
+    b_words: np.ndarray  # in_b as packed words, one row per m
+    s_primes: np.ndarray  # the odd primes s <= max(r): fewer than 64, as r < 63
+    r_mask: np.ndarray  # one word per m, bit i set where s_primes[i] divides r
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix packed into uint64 words, bit i of a row in
+    word i // 64, at least one word per row."""
+    n, k = bits.shape
+    padded = np.zeros((n, 64 * max(1, -(-k // 64))), dtype=bool)
+    padded[:, :k] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 @functools.cache
-def _lane_head(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first _LANE_HEAD candidates m of kind as int64, the primes l with
-    l^k <= the last of them, the 0/1 matrix [l divides m an odd number of
-    times], i.e. [l | b], one row per l, and for each m the odd part r of the
-    gcd of its exponents: m is an r-th power, so it is no primitive root mod
-    any p with gcd(r, p - 1) > 1."""
+def _lane_head(kind: str, level: int = 0) -> _Head:
+    """The first _LANE_HEAD * 2^level candidates m of kind and their
+    factorization over the ells: m = a^2 b with the primes of b among the
+    ells, so (m|p) = prod over l | b of (l|p); and m is an r-th power, so it
+    is no primitive root mod any p with gcd(r, p - 1) > 1, i.e. with an odd
+    prime s dividing both r and p - 1."""
     k = _KINDS[kind][1]
-    cands = np.fromiter(_candidates(kind), dtype=np.int64, count=_LANE_HEAD)
+    cands = np.fromiter(_candidates(kind), dtype=np.int64, count=_LANE_HEAD << level)
     top = int(cands[-1])
     ells = arith.sieve_primes(max(2, arith.icbrt(top) if k == 3 else top))
-    rest = np.broadcast_to(cands, (len(ells), len(cands))).copy()
-    exps = np.zeros_like(rest)
-    hit = rest % ells[:, None] == 0
-    while hit.any():
-        exps += hit
-        rest = np.where(hit, rest // ells[:, None], rest)
-        hit = rest % ells[:, None] == 0
+    # the exponent of every l in every m, raised while l^(e+1) | m
+    exps = np.zeros((len(ells), len(cands)), dtype=np.int64)
+    row, col = np.nonzero(cands % ells[:, None] == 0)
+    power = ells[row]
+    while len(row):
+        exps[row, col] += 1
+        power *= ells[row]
+        deeper = cands[col] % power == 0
+        row, col, power = row[deeper], col[deeper], power[deeper]
     in_b = exps % 2
     # a prime above the ells has l^3 > m, so it divides the square-full m
     # exactly twice; with k = 1 every prime of m is an ell
     beyond = (ells[:, None] ** exps).prod(axis=0) < cands
     g = np.gcd(np.gcd.reduce(exps, axis=0), np.where(beyond, 2, 0))
     odd_power = g // (g & -g)
-    for a in (cands, ells, in_b, odd_power):
+    s_primes = arith.sieve_primes(max(2, int(odd_power.max())))[1:]
+    head = _Head(
+        cands, ells, in_b, odd_power, _words(in_b.T == 1), s_primes,
+        _words(odd_power[:, None] % s_primes == 0)[:, 0],
+    )
+    for a in head:
         a.flags.writeable = False
-    return cands, ells, in_b, odd_power
+    return head
+
+
+def _prime_bits(head: _Head, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every prime of p: the words of the head's ells l with (l|p) = -1,
+    in the bit order of head.b_words, and the bits of the head's s_primes
+    that divide p - 1, in the order of head.r_mask."""
+    nonres = np.stack([arith.legendre_lanes(int(ell), p) == -1 for ell in head.ells], axis=1)
+    return _words(nonres), _words((p[:, None] - 1) % head.s_primes == 0)[:, 0]
+
+
+def _usable(head: _Head, nonres: np.ndarray, s_mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """[m passes both rules] for the rows of _prime_bits and the head's
+    columns m in [lo, hi): (m|p) = -1, i.e. an odd number of the ells of b
+    have (l|p) = -1, and no odd prime s divides both r and p - 1."""
+    odd = np.bitwise_xor.reduce(nonres[:, None, :] & head.b_words[None, lo:hi, :], axis=2)
+    return (np.bitwise_count(odd) & 1 == 1) & (s_mask[:, None] & head.r_mask[lo:hi] == 0)
 
 
 def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray:
     """The first primitive root along the candidate list of kind (a key of
     _KINDS) for every prime p of the ascending int64 block ps (odd primes,
     each <= arith.MAX_INT64_MODULUS); p1_primes is
-    arith.prime_factors_lanes(ps - 1)."""
-    cands, ells, in_b, odd_power = _lane_head(kind)
-    odd_q = p1_primes[:, 1:]  # column 0 is 2 for every even p - 1
-    symbols = np.stack([arith.legendre_lanes(int(ell), ps) for ell in ells], axis=1)
-    nonres = (symbols == -1).astype(np.int64)
+    arith.prime_factors_lanes(ps - 1). A prime with none up to SEARCH_CEILING
+    raises ArithmeticError."""
     g = np.zeros(len(ps), dtype=np.int64)
     live = np.arange(len(ps))
-    lo, width = 0, _LANE_FIRST
-    while lo < len(cands) and len(live):
-        hi, width = lo + width, 2 * width
-        m = cands[lo:hi]
-        p = ps[live]
-        usable = (nonres[live] @ in_b[:, lo:hi]) % 2 == 1
-        usable &= m % p[:, None] != 0
-        usable &= np.gcd(odd_power[lo:hi], p[:, None] - 1) == 1
-        row, col = np.nonzero(usable)  # row-major: columns ascend within a row
-        q = odd_q[live[row]]
-        lane = q > 0
-        pp = np.broadcast_to(p[row, None], q.shape)[lane]
-        mm = np.broadcast_to(m[col, None], q.shape)[lane]
-        one = np.zeros(q.shape, dtype=bool)
-        one[lane] = arith.pow_mod_lanes(mm, (pp - 1) // q[lane], pp) == 1
-        ok = ~one.any(axis=1)
-        found, first = np.unique(row[ok], return_index=True)
-        g[live[found]] = m[col[ok][first]]
-        live = np.delete(live, found)
-        lo = hi
-    for i in live:
-        row = p1_primes[i]
-        g[i] = _first_pr(kind, int(ps[i]), tuple(row[row > 0].tolist()))
+    lo, width, level = 0, _LANE_FIRST, 0
+    while len(live):
+        head = _lane_head(kind, level)
+        end = int(np.searchsorted(head.cands, SEARCH_CEILING, side="right"))
+        # the open primes' rows: p, the exponents (p - 1)/q for the odd q of
+        # p - 1 (column 0 of p1_primes is 2 for every even p - 1; the rows are
+        # zero-padded), their number, and the bits of _prime_bits
+        p, odd_q = ps[live], p1_primes[live, 1:]
+        exp_q = (p[:, None] - 1) // np.maximum(odd_q, 1)
+        n_odd = np.count_nonzero(odd_q, axis=1)
+        nonres, s_mask = _prime_bits(head, p)
+        while lo < end and len(live):
+            hi, width = min(lo + width, end), 2 * width
+            m = head.cands[lo:hi]
+            usable = _usable(head, nonres, s_mask, lo, hi)
+            if m.max() >= p[0]:
+                usable &= m % p[:, None] != 0
+            row, col = np.nonzero(usable)  # row-major: columns ascend within a row
+            # one lane per usable (p, m) and odd q | p - 1, a pair's lanes adjacent
+            k = n_odd[row]
+            stop = np.cumsum(k)
+            # lane t of a pair reads exp_q[row, t]
+            at = np.arange(k.sum()) - np.repeat(stop - k - row * exp_q.shape[1], k)
+            exp = exp_q.ravel()[at]
+            one = arith.pow_mod_lanes(np.repeat(m[col], k), exp, np.repeat(p[row], k)) == 1
+            ones = np.concatenate([[0], np.cumsum(one)])
+            ok = ones[stop] == ones[stop - k]  # no lane of the pair gave 1
+            row, col = row[ok], col[ok]
+            first = np.flatnonzero(np.diff(row, prepend=-1))  # each row's first success
+            g[live[row[first]]] = m[col[first]]
+            keep = np.ones(len(live), dtype=bool)
+            keep[row[first]] = False
+            live, p, exp_q, n_odd, nonres, s_mask = (
+                a[keep] for a in (live, p, exp_q, n_odd, nonres, s_mask)
+            )
+            lo = hi
+        if len(live) and end < len(head.cands):
+            raise ArithmeticError(
+                f"no primitive root mod {ps[live[0]]} among the candidates below {SEARCH_CEILING}"
+            )
+        level += 1
     return g
 
 
@@ -519,7 +581,7 @@ def scan_range(lo: int, hi: int, jobs: int = 1, progress=None) -> list[ScanRecor
         raise ValueError("need 3 <= lo <= hi")
     blocks = _prime_blocks(lo, hi)
     for kind in _KINDS:  # built once, so forked workers inherit the heads
-        _lane_head(kind)
+        _lane_head(kind, 0)
     out: list[ScanRecord] = []
     for chunk in _run_blocks(_scan_block, blocks, jobs, progress):
         out.extend(chunk)
@@ -538,7 +600,7 @@ def hypothesis_scan(limit: int, jobs: int = 1, progress=None) -> HypothesisRepor
     if limit < 3:
         raise ValueError("need limit >= 3")
     blocks = _prime_blocks(3, limit)
-    _lane_head("squarefull")  # built once, so forked workers inherit it
+    _lane_head("squarefull", 0)  # built once, so forked workers inherit it
     exceptional: list[tuple[int, int]] = []
     for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):
         exceptional.extend(chunk)

@@ -14,6 +14,16 @@ from sfpr import arith, characters
 from sfpr.characters import build_context
 
 
+def oracle_legendre(a, p):
+    """(a|p) by Euler's criterion, p an odd prime."""
+    t = pow(a, (p - 1) // 2, p)
+    return t - p if t > 1 else t
+
+
+def oracle_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def brute_order(a, p):
     x, k = a % p, 1
     while x != 1:
@@ -134,7 +144,7 @@ class TestContext:
             ctx = build_context(p)
             signs = ctx.qr_signs()
             for a in range(p):
-                assert int(signs[a]) == arith.legendre(a, p)
+                assert int(signs[a]) == oracle_legendre(a, p)
 
 
 class TestCharacterValues:
@@ -148,7 +158,7 @@ class TestCharacterValues:
         for p in (3, 7, 11, 101):
             ctx = build_context(p)
             got = ctx.values([(p - 1) // 2], np.arange(2 * p))[0]
-            want = [arith.legendre(m, p) for m in range(2 * p)]
+            want = [oracle_legendre(m, p) for m in range(2 * p)]
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_frozen_example_generator_value(self):
@@ -219,7 +229,7 @@ class TestOrderClasses:
             n = p - 1
             orders = [order_by_values(ctx, j) for j in range(n)]
             seen = []
-            for d in arith.divisors(n):
+            for d in oracle_divisors(n):
                 cls = [j for j in range(n) if orders[j] == d]
                 assert len(cls) == arith.euler_phi(d)
                 for j in cls:

@@ -14,6 +14,12 @@ from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char
 from sfpr.counting import count_by_target
 
 
+def oracle_legendre(a, p):
+    """(a|p) by Euler's criterion, p an odd prime."""
+    t = pow(a, (p - 1) // 2, p)
+    return t - p if t > 1 else t
+
+
 def brute_interval(ctx, j, x):
     return sum(complex(v) for v in ctx.values([j], range(1, x + 1))[0])
 
@@ -235,7 +241,7 @@ class TestGauges:
         # the scanner's reported max must agree with a pointwise re-evaluation
         # from Legendre symbols, at every x
         best = charsums.burgess_gauge_max(ps=(101,), rs=(2,), xmax=500)
-        partial = np.cumsum([arith.legendre(m, 101) for m in range(1, 501)])
+        partial = np.cumsum([oracle_legendre(m, 101) for m in range(1, 501)])
         again = [abs(int(partial[x - 1])) / charsums.burgess_envelope(101, x, 2) for x in range(2, 501)]
         assert best["ratio"] == pytest.approx(max(again), abs=1e-12)
         assert best["ratio"] == pytest.approx(again[best["x"] - 2], abs=1e-12)
@@ -243,7 +249,7 @@ class TestGauges:
     def test_grh_gauge_max_consistency(self):
         best = charsums.grh_gauge_max(ps=(101,), xmax=10**4)
         primes = [q for q in range(2, 10**4 + 1) if arith.is_prime(q)]
-        partial = np.cumsum([arith.legendre(q, 101) for q in primes])
+        partial = np.cumsum([oracle_legendre(q, 101) for q in primes])
         again = {q: abs(int(s)) / grh_envelope(101, q) for q, s in zip(primes, partial)}
         assert best["ratio"] == pytest.approx(max(again.values()), abs=1e-12)
         assert best["ratio"] == pytest.approx(again[best["x"]], abs=1e-12)

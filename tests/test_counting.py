@@ -84,6 +84,16 @@ def oracle_is_prime(n):
 
 
 @functools.lru_cache(maxsize=None)
+def oracle_legendre(a, p):
+    """(a|p) by Euler's criterion, p an odd prime."""
+    t = pow(a, (p - 1) // 2, p)
+    return t - p if t > 1 else t
+
+
+def oracle_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def oracle_members(target, x):
     if target == "squarefull":
         return [m for m in range(1, x + 1) if oracle_is_squarefull(m)]
@@ -152,7 +162,7 @@ def test_pr_decomposition_weights_by_order():
         ctx = build_context(p)
         n = p - 1
         want = np.zeros(n)
-        for d in arith.divisors(n):
+        for d in oracle_divisors(n):
             for j in characters_of_order(ctx, d):
                 want[j] = arith.mobius(d) / arith.euler_phi(d)
         w = pr_decomposition(ctx)
@@ -429,33 +439,90 @@ def test_block_factorization_matches_factorize():
             assert tuple(row[row > 0].tolist()) == tuple(q for q, _ in arith.factorize(p - 1)), p
 
 
-def test_lane_tail_reached():
+def _no_scalar_search(monkeypatch):
+    monkeypatch.setattr(counting, "_first_pr", lambda *args: pytest.fail("scalar search called"))
+
+
+def test_lane_tail_reached(monkeypatch):
     # 1052041 is the largest prime below 1.1e6 whose g_sf exceeds it: its
-    # search runs past the lanes' head into the scalar tail
+    # search runs past the first head into the longer ones, still in lanes
     ps = arith.sieve_primes(1052041)[-3:]
+    want = [least_squarefull_pr(build_context(int(p))) for p in ps]
+    _no_scalar_search(monkeypatch)
     got = _lanes(ps, "squarefull").tolist()
-    assert got == [least_squarefull_pr(build_context(int(p))) for p in ps]
+    assert got == want
     assert got[-1] > counting._lane_head("squarefull")[0][-1]
 
 
+def test_lane_blocks_to_1052041_need_no_scalar_search(monkeypatch):
+    pinned_file = Path(__file__).resolve().parent.parent / "perfbench" / "hypothesis_1100000.json"
+    _no_scalar_search(monkeypatch)
+    got = []
+    for block in counting._prime_blocks(3, 1052041):
+        g = _lanes(block, "squarefull")
+        got += [[p, x] for p, x in zip(block.tolist(), g.tolist()) if x >= p]
+    assert got == json.loads(pinned_file.read_text())
+
+
 def test_lane_tail_of_every_kind(monkeypatch):
-    # a head of 4 candidates sends most primes of every kind to the tail
+    # a head of 4 candidates sends most primes of every kind to the longer heads
     monkeypatch.setattr(counting, "_LANE_HEAD", 4)
     monkeypatch.setattr(counting, "_lane_head", functools.cache(counting._lane_head.__wrapped__))
     ps = arith.sieve_primes(5000)[1:]
     for kind, scalar in _SCALAR.items():
         assert len(counting._lane_head(kind)[0]) == 4
-        got = _lanes(ps, kind).tolist()
-        assert got == [scalar(build_context(p)) for p in ps.tolist()], kind
+        want = [scalar(build_context(p)) for p in ps.tolist()]
+        with monkeypatch.context() as m:
+            _no_scalar_search(m)
+            got = _lanes(ps, kind).tolist()
+        assert got == want, kind
         assert max(got) > counting._lane_head(kind)[0][-1], kind
+
+
+@pytest.mark.parametrize("p, g", [(7, 108), (1052041, None)])
+def test_lane_search_stops_at_the_ceiling(monkeypatch, p, g):
+    # the least square-full primitive root is found at the ceiling and refused
+    # just below it, in the first head (7) and in a longer one (1052041)
+    ps = np.array([p])
+    g = g or least_squarefull_pr(build_context(p))
+    assert (g > counting._lane_head("squarefull")[0][-1]) == (p > 7)
+    monkeypatch.setattr(counting, "SEARCH_CEILING", g)
+    assert _lanes(ps, "squarefull").tolist() == [g]
+    monkeypatch.setattr(counting, "SEARCH_CEILING", g - 1)
+    with pytest.raises(ArithmeticError, match=f"no primitive root mod {p} among"):
+        _lanes(ps, "squarefull")
 
 
 def test_lane_search_skips_multiples_of_p(monkeypatch):
     # 200 = 5^2 2^3 is a non-residue by its b = 2, (2|5) = -1, yet 0 mod 5;
     # 8 = 2^3 is a cube, but 3 does not divide 5 - 1
-    head = (np.array([200, 8]), np.array([2]), np.array([[1, 1]]), np.array([1, 3]))
-    monkeypatch.setattr(counting, "_lane_head", lambda kind: head)
+    cands, ells, in_b, odd_power = np.array([200, 8]), np.array([2]), np.array([[1, 1]]), np.array([1, 3])
+    s_primes = np.array([3])
+    words, r_mask = counting._words(in_b.T == 1), counting._words(odd_power[:, None] % s_primes == 0)[:, 0]
+    head = counting._Head(cands, ells, in_b, odd_power, words, s_primes, r_mask)
+    monkeypatch.setattr(counting, "_lane_head", lambda kind, level=0: head)
     assert _lanes(np.array([5]), "squarefull").tolist() == [8]
+
+
+@pytest.mark.parametrize("kind", sorted(counting._KINDS))
+def test_packed_rules_match_their_matrix_forms(kind):
+    # the bit words give (nonres @ in_b) % 2 and gcd(r, p - 1) == 1 for every
+    # prime of a seeded sample and every head candidate; the square-free and
+    # non-square heads span 3 and 2 words of ells
+    head = counting._lane_head(kind)
+    words = {"squarefull": 1, "squarefree": 3, "nonsquare": 2}[kind]
+    assert head.b_words.shape == (counting._LANE_HEAD, words)
+    rng = np.random.default_rng(17)
+    ps = np.sort(rng.choice(arith.sieve_primes(200_000)[1:], 400, replace=False))
+    nonres, s_mask = counting._prime_bits(head, ps)
+    symbols = np.stack([[oracle_legendre(int(ell), p) for ell in head.ells] for p in ps.tolist()])
+    parity = (symbols == -1).astype(np.int64) @ head.in_b % 2 == 1
+    coprime = np.gcd(head.odd_power, ps[:, None] - 1) == 1
+    n = len(head.cands)
+    assert (counting._usable(head, nonres, np.zeros_like(s_mask), 0, n) == parity).all()
+    assert ((s_mask[:, None] & head.r_mask == 0) == coprime).all()
+    assert (counting._usable(head, nonres, s_mask, 0, n) == (parity & coprime)).all()
+    assert parity.any() and (~parity).any() and (~coprime).any() == (kind != "squarefree")
 
 
 def _odd_part(n):
@@ -464,7 +531,8 @@ def _odd_part(n):
 
 @pytest.mark.parametrize("kind", sorted(counting._KINDS))
 def test_lane_head_odd_power_matches_factorize(kind):
-    cands, _, _, odd_power = counting._lane_head(kind)
+    head = counting._lane_head(kind)
+    cands, odd_power = head.cands, head.odd_power
     assert len(cands) == len(odd_power) == counting._LANE_HEAD
     for m, r in zip(cands.tolist(), odd_power.tolist()):
         assert r == _odd_part(math.gcd(*(e for _, e in arith.factorize(m)))), m
@@ -473,7 +541,8 @@ def test_lane_head_odd_power_matches_factorize(kind):
 @pytest.mark.parametrize("kind", sorted(counting._KINDS))
 def test_perfect_power_candidates_are_no_primitive_roots(kind):
     # m an r-th power and s an odd prime of gcd(r, p - 1): m^((p-1)/s) = 1
-    cands, _, _, odd_power = counting._lane_head(kind)
+    head = counting._lane_head(kind)
+    cands, odd_power = head.cands, head.odd_power
     powers = [(m, r) for m, r in zip(cands.tolist(), odd_power.tolist()) if r > 1]
     tested = 0
     for p in arith.sieve_primes(20000)[1:].tolist():
@@ -513,9 +582,9 @@ def test_heads_built_before_the_blocks(monkeypatch, scan, kinds):
     head = counting._lane_head.__wrapped__
 
     @functools.cache
-    def recorded(kind):
+    def recorded(kind, level=0):
         built.append(kind)
-        return head(kind)
+        return head(kind, level)
 
     run = counting._run_blocks
 
