@@ -43,13 +43,16 @@ _SIMPLE_SIEVE_CUTOFF = 1 << 22
 _SEGMENT = 1 << 20
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
+def sieve_primes(limit: int, lo: int = 2) -> np.ndarray:
+    """All primes in [lo, limit], ascending, as an int64 array. Past
+    _SIMPLE_SIEVE_CUTOFF only the segments from lo are sieved, so memory
+    follows the window, not limit."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     if limit <= _SIMPLE_SIEVE_CUTOFF:
-        return _sieve_simple(limit)
-    return _sieve_segmented(limit)
+        ps = _sieve_simple(limit)
+        return ps[np.searchsorted(ps, lo) :]
+    return _sieve_segmented(limit, lo)
 
 
 def _sieve_simple(limit: int) -> np.ndarray:
@@ -61,10 +64,10 @@ def _sieve_simple(limit: int) -> np.ndarray:
     return np.flatnonzero(is_p).astype(np.int64)
 
 
-def _sieve_segmented(limit: int) -> np.ndarray:
+def _sieve_segmented(limit: int, lo: int) -> np.ndarray:
     base = _sieve_simple(math.isqrt(limit))
-    chunks = [base]
-    lo = int(base[-1]) + 1
+    chunks = [base[np.searchsorted(base, lo) :]]
+    lo = max(lo, int(base[-1]) + 1)
     while lo <= limit:
         hi = min(lo + _SEGMENT, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)

@@ -27,14 +27,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .analytics import constants_report, main_term_by_target
 from .characters import build_context
-from .counting import (
-    CSV_HEADER,
-    FAMILIES,
-    count_by_target,
-    hypothesis_scan,
-    scan_range,
-    scan_record,
-)
+from .counting import FAMILIES, count_by_target, hypothesis_scan, least_csv, scan_range
 from .verify import run_suite
 
 PROG = "sfpr"
@@ -113,26 +106,22 @@ def cmd_count(args) -> int:
 
 
 def cmd_least(args) -> int:
-    rec = scan_record(args.p)
-    _emit(CSV_HEADER + "\n" + rec.csv_row() + "\n", args.out)
+    _emit(least_csv(args.p), args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
-    records = scan_range(args.from_, args.to, jobs=_jobs(args), progress=_progress("scan"))
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(scan_range(args.from_, args.to, jobs=_jobs(args), progress=_progress("scan")), args.out)
     return 0
 
 
 def cmd_hypothesis(args) -> int:
-    rep = hypothesis_scan(args.limit, jobs=_jobs(args), progress=_progress("hypothesis"))
+    pairs = hypothesis_scan(args.limit, jobs=_jobs(args), progress=_progress("hypothesis"))
     payload = {
-        "limit": rep.limit,
-        "exceptional": [[p, g] for p, g in rep.exceptional],
-        "count": len(rep.exceptional),
-        "largest": rep.largest,
+        "limit": args.limit,
+        "exceptional": [[p, g] for p, g in pairs],
+        "count": len(pairs),
+        "largest": pairs[-1][0] if pairs else None,
     }
     _emit(_json(payload), args.out)
     return 0

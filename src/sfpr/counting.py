@@ -57,16 +57,18 @@ lanes (arith.pow_mod_lanes), exact up to arith.MAX_INT64_MODULUS, over a
 head of _LANE_HEAD candidates, built once before any worker forks; the few
 primes still open after it go on along heads twice as long, to
 SEARCH_CEILING, so every prime of a block is found in lanes. The scalar
-search is only the cross-check: every prime a block reports with
-g_sf(p) >= p, and CROSS_CHECK_SAMPLE more drawn by a random.Random seeded
-from the block's first prime, is derived again on build_context
-(factorization by arith.factorize), by scan_record for scan_range and
-least_squarefull_pr for hypothesis_scan; a disagreement raises
-ArithmeticError.
+routes of _SCALAR answer `least` and cross-check the lanes: every prime of a
+block with g_sf(p) >= p, and CROSS_CHECK_SAMPLE more drawn by a
+random.Random seeded from the block's first prime, is rebuilt once on
+build_context (p - 1 factored by arith.factorize); its lane row of the
+primes of p - 1 and each least element searched must equal the context's,
+or ArithmeticError names p and what differed.
 
-The blocks are contiguous slices of one sieve; workers (never more than there
-are blocks) pull blocks, the parent flushes results in block order, so output
-is deterministic for any worker count.
+The blocks are contiguous slices of one sieve of [lo, hi]. One worker,
+_least_block, turns a block into its payload: CSV text for scan_range,
+(p, g_sf(p)) pairs for hypothesis_scan. Workers (never more than there are
+blocks) pull blocks, the parent keeps payloads in block order, so output is
+deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -93,14 +95,13 @@ from .charsums import (
 
 __all__ = [
     "CountReport",
-    "ScanRecord",
-    "HypothesisReport",
     "pr_decomposition",
     "family_charsums",
     "FAMILIES",
     "count_by_target",
     "least_squarefull_pr",
     "least_squarefree_pr",
+    "least_csv",
     "scan_range",
     "hypothesis_scan",
     "BLOCK_SIZE",
@@ -289,7 +290,7 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
 # -- least elements ---------------------------------------------------------
 
 
-# kind -> (source of its candidates, k), in ScanRecord's column order: every
+# kind -> (source of its candidates, k), in the CSV's column order: every
 # candidate is m = a^2 b, b square-free, each prime of b <= m^(1/k). A source
 # is built on first use, so the square-full stream starts then, not at import
 _KINDS = {
@@ -343,53 +344,40 @@ def least_squarefree_pr(ctx: PrimeContext) -> int:
     return _first_pr("squarefree", ctx.p, ctx.p1_primes)
 
 
-# -- deterministic sharded scans --------------------------------------------
+# -- least elements of a prime range ----------------------------------------
 
-
-@dataclass(frozen=True)
-class ScanRecord:
-    p: int
-    g_squarefull: int
-    g_squarefree: int
-    g_least_pr: int
-    omega_p_minus_1: int
-
-    @property
-    def ratio(self) -> float:
-        return self.g_squarefull / self.p
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.p},{self.g_squarefull},{self.g_squarefree},"
-            f"{self.g_least_pr},{self.ratio:.6f},{self.omega_p_minus_1}"
-        )
-
+# kind -> its scalar route on a context, for `least` and the cross-check; it
+# holds the public functions, which perfbench's tracer rebinds in dicts
+_SCALAR = {
+    "squarefull": least_squarefull_pr,
+    "squarefree": least_squarefree_pr,
+    "nonsquare": lambda ctx: ctx.generator,  # arith.least_primitive_root
+}
 
 CSV_HEADER = "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega"
 
 
-def scan_record(p: int) -> ScanRecord:
-    """The record of one prime by the scalar searches on build_context."""
+def _csv_row(p: int, g_sf: int, g_free: int, g: int, omega: int) -> str:
+    return f"{p},{g_sf},{g_free},{g},{g_sf / p:.6f},{omega}\n"
+
+
+def least_csv(p: int) -> str:
+    """The CSV of one prime: its row by the scalar routes on build_context,
+    for any odd prime p < 2^63."""
     ctx = build_context(p)
-    return ScanRecord(
-        p=p,
-        g_squarefull=least_squarefull_pr(ctx),
-        g_squarefree=least_squarefree_pr(ctx),
-        g_least_pr=ctx.generator,
-        omega_p_minus_1=len(ctx.p1_primes),
-    )
+    row = _csv_row(p, *(least(ctx) for least in _SCALAR.values()), len(ctx.p1_primes))
+    return CSV_HEADER + "\n" + row
 
 
 def _prime_blocks(lo: int, hi: int) -> list[np.ndarray]:
-    """The primes of [lo, hi] as consecutive int64 slices of the sieve,
-    BLOCK_SIZE primes each; hi past what the lanes can square is refused
-    before the sieve runs."""
+    """The primes of [lo, hi] as consecutive int64 slices of one window
+    sieve, BLOCK_SIZE primes each; hi past what the lanes can square is
+    refused before the sieve runs."""
     if hi > arith.MAX_INT64_MODULUS:
         raise ValueError(
             f"need limit <= {arith.MAX_INT64_MODULUS}: the lane search squares residues in int64"
         )
-    ps = arith.sieve_primes(hi) if hi >= 2 else np.array([], dtype=np.int64)
-    ps = ps[ps >= lo]
+    ps = arith.sieve_primes(hi, lo)
     return [ps[i : i + BLOCK_SIZE] for i in range(0, len(ps), BLOCK_SIZE)]
 
 
@@ -527,40 +515,55 @@ def _lane_search(ps: np.ndarray, kind: str, p1_primes: np.ndarray) -> np.ndarray
     return g
 
 
-def _cross_check(ps: np.ndarray, got, reported: list[int], scalar, label: str) -> None:
-    """got[i] == scalar(ps[i]) for every reported index i and the seeded
-    sample of the block, or ArithmeticError."""
+def _cross_check(ps: np.ndarray, p1_primes: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    """Every prime of the block with g_sf(p) >= p, and CROSS_CHECK_SAMPLE
+    more seeded from its first prime, rebuilt once on build_context: its row
+    of p1_primes must be the context's primes of p - 1, and g[kind] its
+    scalar route's least element, or ArithmeticError."""
+    reported = np.flatnonzero(g["squarefull"] >= ps).tolist()
     sample = random.Random(f"{int(ps[0])}").sample(range(len(ps)), min(len(ps), CROSS_CHECK_SAMPLE))
     for i in sorted(set(reported) | set(sample)):
         p = int(ps[i])
-        want = scalar(p)
-        if want != got[i]:
-            raise ArithmeticError(f"{label}({p}): lane search gives {got[i]}, scalar route {want}")
+        ctx = build_context(p)
+        row = p1_primes[i]
+        pairs = [("primes of p - 1", tuple(row[row > 0].tolist()), ctx.p1_primes)]
+        pairs += [(kind, int(g[kind][i]), _SCALAR[kind](ctx)) for kind in g]
+        for what, lanes, scalar in pairs:
+            if lanes != scalar:
+                raise ArithmeticError(
+                    f"at p = {p} the lanes give {what} {lanes}, the scalar route {scalar}"
+                )
 
 
-def _scan_block(ps: np.ndarray) -> list[ScanRecord]:
-    """The ScanRecord of every prime of the block: three lane searches on one
-    factorization of the p - 1, cross-checked by scan_record."""
+def _least_block(ps: np.ndarray, kinds: tuple[str, ...], payload):
+    """payload(ps, g, p1_primes) for the block ps, where g[kind] is the least
+    element of kind for every prime of the block: one factorization of the
+    p - 1 and one lane search per kind, cross-checked."""
     p1_primes = arith.prime_factors_lanes(ps - 1)
-    g_sf, g_free, g = (_lane_search(ps, kind, p1_primes).tolist() for kind in _KINDS)
-    omega = np.count_nonzero(p1_primes, axis=1).tolist()
-    records = [ScanRecord(*fields) for fields in zip(ps.tolist(), g_sf, g_free, g, omega)]
-    reported = [i for i, r in enumerate(records) if r.g_squarefull >= r.p]
-    _cross_check(ps, records, reported, scan_record, "scan_record")
-    return records
+    g = {kind: _lane_search(ps, kind, p1_primes) for kind in kinds}
+    _cross_check(ps, p1_primes, g)
+    return payload(ps, g, p1_primes)
 
 
-def _hypothesis_block(ps: np.ndarray) -> list[tuple[int, int]]:
-    """(p, g_sf(p)) for the primes of the block with g_sf(p) >= p,
-    cross-checked by least_squarefull_pr on build_context."""
-    g = _lane_search(ps, "squarefull", arith.prime_factors_lanes(ps - 1))
-    reported = np.flatnonzero(g >= ps).tolist()
-    _cross_check(ps, g, reported, lambda p: least_squarefull_pr(build_context(p)), "g_sf")
-    return [(int(ps[i]), int(g[i])) for i in reported]
+def _csv_rows(ps: np.ndarray, g: dict[str, np.ndarray], p1_primes: np.ndarray) -> str:
+    omega = np.count_nonzero(p1_primes, axis=1)
+    columns = (ps, *(g[kind] for kind in _KINDS), omega)
+    return "".join(itertools.starmap(_csv_row, zip(*(c.tolist() for c in columns))))
 
 
-def _run_blocks(worker, blocks, jobs: int, progress=None):
-    """Ordered map over blocks; pool only when it pays."""
+def _exceptional(ps: np.ndarray, g: dict[str, np.ndarray], p1_primes) -> list[tuple[int, int]]:
+    big = g["squarefull"] >= ps
+    return list(zip(ps[big].tolist(), g["squarefull"][big].tolist()))
+
+
+def _least_blocks(lo: int, hi: int, kinds: tuple[str, ...], payload, jobs: int, progress) -> list:
+    """The payload of every block of the primes in [lo, hi] (_least_block),
+    in block order for any worker count; a pool only when it pays, and never
+    more workers than blocks."""
+    blocks = _prime_blocks(lo, hi)
+    for kind in kinds:  # built once, so forked workers inherit the heads
+        _lane_head(kind, 0)
+    worker = functools.partial(_least_block, kinds=kinds, payload=payload)
     results = []
     with contextlib.ExitStack() as stack:
         mapped = map(worker, blocks)
@@ -574,35 +577,17 @@ def _run_blocks(worker, blocks, jobs: int, progress=None):
     return results
 
 
-def scan_range(lo: int, hi: int, jobs: int = 1, progress=None) -> list[ScanRecord]:
-    """ScanRecord for every prime in [lo, hi], ascending, worker-count
-    independent."""
+def scan_range(lo: int, hi: int, jobs: int = 1, progress=None) -> str:
+    """The CSV of every prime in [lo, hi], ascending, the same for any
+    worker count."""
     if lo < 3 or hi < lo:
         raise ValueError("need 3 <= lo <= hi")
-    blocks = _prime_blocks(lo, hi)
-    for kind in _KINDS:  # built once, so forked workers inherit the heads
-        _lane_head(kind, 0)
-    out: list[ScanRecord] = []
-    for chunk in _run_blocks(_scan_block, blocks, jobs, progress):
-        out.extend(chunk)
-    return out
+    return CSV_HEADER + "\n" + "".join(_least_blocks(lo, hi, tuple(_KINDS), _csv_rows, jobs, progress))
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    limit: int
-    exceptional: tuple[tuple[int, int], ...]  # (p, g_squarefull) with g >= p
-    largest: int | None
-
-
-def hypothesis_scan(limit: int, jobs: int = 1, progress=None) -> HypothesisReport:
-    """All primes p <= limit with g_sf(p) >= p."""
+def hypothesis_scan(limit: int, jobs: int = 1, progress=None) -> list[tuple[int, int]]:
+    """(p, g_sf(p)) for every prime p <= limit with g_sf(p) >= p, ascending."""
     if limit < 3:
         raise ValueError("need limit >= 3")
-    blocks = _prime_blocks(3, limit)
-    _lane_head("squarefull", 0)  # built once, so forked workers inherit it
-    exceptional: list[tuple[int, int]] = []
-    for chunk in _run_blocks(_hypothesis_block, blocks, jobs, progress):
-        exceptional.extend(chunk)
-    largest = exceptional[-1][0] if exceptional else None
-    return HypothesisReport(limit, tuple(exceptional), largest)
+    blocks = _least_blocks(3, limit, ("squarefull",), _exceptional, jobs, progress)
+    return [pair for block in blocks for pair in block]

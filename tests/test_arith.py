@@ -5,6 +5,7 @@ phi) are deliberately independent of the implementations they check.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -81,8 +82,28 @@ class TestSieve:
 
     def test_segmented_agrees_with_simple(self):
         # force the segmented path and compare on a window
-        seg = arith._sieve_segmented(10**5)
+        seg = arith._sieve_segmented(10**5, 2)
         assert np.array_equal(seg, arith._sieve_simple(10**5))
+
+    @pytest.mark.parametrize(
+        "cutoff, segment", [(arith._SIMPLE_SIEVE_CUTOFF, arith._SEGMENT), (5000, 777)]
+    )
+    def test_window_is_the_full_sieve_from_lo(self, monkeypatch, cutoff, segment):
+        # limits on both sides of the cutoff; seeded windows of up to three
+        # segments, ones that start among the base primes up to sqrt(limit),
+        # and empty ones
+        monkeypatch.setattr(arith, "_SIMPLE_SIEVE_CUTOFF", cutoff)
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        rng = random.Random(f"{cutoff}:{segment}")
+        for limit in (cutoff - 1, cutoff, cutoff + 1, 2 * cutoff + rng.randrange(cutoff)):
+            full = arith.sieve_primes(limit)
+            assert np.array_equal(full, arith._sieve_simple(limit))
+            starts = [limit - rng.randrange(3 * segment) for _ in range(4)]
+            starts += [2, 3, rng.randrange(2, math.isqrt(limit)), limit, limit + 1]
+            for lo in starts:
+                got = arith.sieve_primes(limit, lo)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, full[full >= lo]), (limit, lo)
 
 
 class TestIsPrime:

@@ -289,6 +289,23 @@ def test_scan_jobs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_window_near_1e9_budget(tmp_path, capsys):
+    # only the window is sieved, not [2, 1e9] (about 870 MB); 32 of its 45
+    # primes are cross-checked, and a few rows are compared with `least`
+    argv = ["scan", "--from", "999999000", "--to", "1000000000", "--jobs", "1"]
+    code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=10)
+    assert code == 0, err
+    assert rss_mb <= 64, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+    header, *rows = out.splitlines()
+    assert header == "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega"
+    assert len(rows) == 45
+    assert rows[0].startswith("999999001,") and rows[-1].startswith("999999937,")
+    for row in (rows[0], rows[22], rows[-1]):
+        code, least, _ = run_cli(capsys, "least", "--p", row.split(",")[0])
+        assert code == 0
+        assert least.splitlines() == [header, row]
+
+
 def test_scan_unwritable_out(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--from", "3", "--to", "10", "--jobs", "1", "--out", "/nonexistent/dir/x.csv"

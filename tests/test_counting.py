@@ -19,19 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, counting, squarefull
-from sfpr.characters import PrimeContext, build_context
+from sfpr.characters import build_context
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
     CSV_HEADER,
-    HypothesisReport,
     count_by_target,
     family_charsums,
     hypothesis_scan,
+    least_csv,
     least_squarefree_pr,
     least_squarefull_pr,
     pr_decomposition,
     scan_range,
-    scan_record,
 )
 
 
@@ -398,9 +397,9 @@ def test_hypothesis_scan_matches_pinned_pairs():
     pinned_file = Path(__file__).resolve().parent.parent / "perfbench" / "hypothesis_1100000.json"
     pinned = json.loads(pinned_file.read_text())
     assert len(pinned) == 114
-    rep = hypothesis_scan(1_100_000, jobs=2)
-    assert [list(pair) for pair in rep.exceptional] == pinned
-    assert rep.largest == 1052041
+    pairs = hypothesis_scan(1_100_000, jobs=2)
+    assert [list(pair) for pair in pairs] == pinned
+    assert pairs[-1][0] == 1052041
 
 
 # -- the lane search of a block ---------------------------------------------
@@ -586,14 +585,15 @@ def test_heads_built_before_the_blocks(monkeypatch, scan, kinds):
         built.append(kind)
         return head(kind, level)
 
-    run = counting._run_blocks
+    search = counting._lane_search
 
-    def check(worker, blocks, jobs, progress=None):
+    def check(ps, kind, p1_primes):
+        # in a forked worker too: it sees only the heads its parent built
         assert sorted(built) == kinds
-        return run(worker, blocks, jobs, progress)
+        return search(ps, kind, p1_primes)
 
     monkeypatch.setattr(counting, "_lane_head", recorded)
-    monkeypatch.setattr(counting, "_run_blocks", check)
+    monkeypatch.setattr(counting, "_lane_search", check)
     scan()
     assert sorted(built) == kinds
 
@@ -616,7 +616,8 @@ def test_corrupt_lane_result_of_sampled_prime_raises(monkeypatch):
     assert counting.CROSS_CHECK_SAMPLE >= 16
     monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None)
-    with pytest.raises(ArithmeticError, match="lane search"):
+    want = r"at p = \d+ the lanes give squarefull \d+, the scalar route"
+    with pytest.raises(ArithmeticError, match=want):
         hypothesis_scan(2000)
 
 
@@ -624,28 +625,69 @@ def test_corrupt_lane_result_of_sampled_prime_raises(monkeypatch):
 def test_corrupt_scan_lane_result_raises(monkeypatch, kind):
     monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     _corrupt(monkeypatch, lambda ps, g: 9 if len(ps) > 9 else None, kind)
-    with pytest.raises(ArithmeticError, match=r"scan_record\(\d+\): lane search"):
+    want = rf"at p = \d+ the lanes give {kind} \d+, the scalar route"
+    with pytest.raises(ArithmeticError, match=want):
         scan_range(3, 2000)
 
 
 def test_corrupt_lane_result_of_reported_prime_raises(monkeypatch):
     _corrupt(monkeypatch, lambda ps, g: 2 if ps[2] == 7 else None)
-    with pytest.raises(ArithmeticError, match=r"g_sf\(7\)"):
+    want = r"at p = 7 the lanes give squarefull 109, the scalar route 108"
+    with pytest.raises(ArithmeticError, match=want):
         hypothesis_scan(100_000)
 
 
-def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
+@pytest.mark.parametrize(
+    "scan", [lambda: hypothesis_scan(2000), lambda: scan_range(3, 2000)], ids=["hypothesis", "scan"]
+)
+def test_wrong_factor_row_of_sampled_prime_raises(monkeypatch, scan):
+    # the least odd prime q not dividing p - 1, added to the tenth row of
+    # each block of 16, where every prime is checked; q < p - 1, so the
+    # least elements stay right and only the row itself is wrong
+    assert counting.CROSS_CHECK_SAMPLE >= 16
+    monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
+    factor = arith.prime_factors_lanes
+
+    def wrong(ns):
+        rows = factor(ns)
+        if len(ns) > 9:
+            q = next(q for q in (3, 5, 7) if ns[9] % q)
+            rows = np.pad(rows, ((0, 0), (0, 1)))
+            rows[9, np.count_nonzero(rows[9])] = q
+        return rows
+
+    monkeypatch.setattr(arith, "prime_factors_lanes", wrong)
+    want = r"at p = 31 the lanes give primes of p - 1 \(2, 3, 5, 7\), the scalar route \(2, 3, 5\)"
+    with pytest.raises(ArithmeticError, match=want):
+        scan()
+
+
+def _record_rebuilt(monkeypatch) -> list[int]:
+    """The primes the cross-check rebuilds on build_context, once each."""
     checked = []
+    build = counting.build_context
+
+    def record(p):
+        checked.append(p)
+        return build(p)
+
+    monkeypatch.setattr(counting, "build_context", record)
+    return checked
+
+
+def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
+    checked = _record_rebuilt(monkeypatch)
     search = counting.least_squarefull_pr
+    searched = []
 
-    def record(ctx, *args):
-        if isinstance(ctx, PrimeContext):  # not the lane search's own tail
-            checked.append(ctx.p)
-        return search(ctx, *args)
+    def scalar(ctx):
+        searched.append(ctx.p)
+        return search(ctx)
 
-    monkeypatch.setattr(counting, "least_squarefull_pr", record)
-    rep = hypothesis_scan(_LANE_LIMIT)
-    want = {p for p, _ in rep.exceptional}
+    monkeypatch.setitem(counting._SCALAR, "squarefull", scalar)
+    pairs = hypothesis_scan(_LANE_LIMIT)
+    assert searched == checked
+    want = {p for p, _ in pairs}
     for block in counting._prime_blocks(3, _LANE_LIMIT):
         rng = random.Random(f"{int(block[0])}")
         picks = rng.sample(range(len(block)), min(len(block), counting.CROSS_CHECK_SAMPLE))
@@ -653,17 +695,17 @@ def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
     assert sorted(checked) == sorted(want)
 
 
+def _rows(csv: str) -> list[list[int | float]]:
+    """The rows of a scan CSV under CSV_HEADER, the ratio as a float."""
+    header, *lines = csv.splitlines()
+    assert header == CSV_HEADER
+    return [[float(v) if "." in v else int(v) for v in line.split(",")] for line in lines]
+
+
 def test_scan_cross_check_covers_reported_and_sampled_primes(monkeypatch):
-    checked = []
-    scalar = counting.scan_record
-
-    def record(p):
-        checked.append(p)
-        return scalar(p)
-
-    monkeypatch.setattr(counting, "scan_record", record)
-    records = scan_range(3, _LANE_LIMIT)
-    want = {r.p for r in records if r.g_squarefull >= r.p}
+    checked = _record_rebuilt(monkeypatch)
+    rows = _rows(scan_range(3, _LANE_LIMIT))
+    want = {p for p, g_sf, *_ in rows if g_sf >= p}
     assert {3, 5, 7} <= want
     for block in counting._prime_blocks(3, _LANE_LIMIT):
         rng = random.Random(f"{int(block[0])}")
@@ -673,13 +715,13 @@ def test_scan_cross_check_covers_reported_and_sampled_primes(monkeypatch):
 
 
 def test_hypothesis_rejects_limit_past_int64_lanes(monkeypatch):
-    monkeypatch.setattr(arith, "sieve_primes", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_primes", lambda *args: pytest.fail("sieved"))
     with pytest.raises(ValueError, match=str(arith.MAX_INT64_MODULUS)):
         hypothesis_scan(arith.MAX_INT64_MODULUS + 1)
 
 
 def test_scan_rejects_range_past_int64_lanes(monkeypatch):
-    monkeypatch.setattr(arith, "sieve_primes", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_primes", lambda *args: pytest.fail("sieved"))
     with pytest.raises(ValueError, match=str(arith.MAX_INT64_MODULUS)):
         scan_range(arith.MAX_INT64_MODULUS - 100, arith.MAX_INT64_MODULUS + 1)
 
@@ -687,35 +729,37 @@ def test_scan_rejects_range_past_int64_lanes(monkeypatch):
 # -- scans ------------------------------------------------------------------
 
 
-def test_scan_record_frozen_rows():
-    assert scan_record(3).csv_row() == "3,8,2,2,2.666667,1"
-    assert scan_record(7).csv_row() == "7,108,3,3,15.428571,2"
-    assert scan_record(5).csv_row() == "5,8,2,2,1.600000,1"
+def test_least_csv_frozen_rows():
+    assert least_csv(3) == CSV_HEADER + "\n3,8,2,2,2.666667,1\n"
+    assert least_csv(7) == CSV_HEADER + "\n7,108,3,3,15.428571,2\n"
+    assert least_csv(5) == CSV_HEADER + "\n5,8,2,2,1.600000,1\n"
     assert CSV_HEADER == "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega"
 
 
 def test_scan_range_3_to_100():
-    records = scan_range(3, 100)
-    assert len(records) == 24
-    assert [r.p for r in records] == sorted(r.p for r in records)
-    assert records[0].csv_row().startswith("3,8,2,2")
-    for r in records:
-        assert r.g_least_pr <= r.g_squarefree
+    csv = scan_range(3, 100)
+    lines = csv.splitlines()[1:]
+    rows = _rows(csv)
+    assert len(rows) == 24
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+    assert lines[0].startswith("3,8,2,2")
+    for (p, _, g_free, g, *_), line in zip(rows, lines):
+        assert g <= g_free
+        # the lanes' row is the one the scalar routes give
+        assert least_csv(p) == f"{CSV_HEADER}\n{line}\n"
 
 
 def test_scan_csv_to_1e5_pinned():
     # sha256 of `sfpr scan --from 3 --to 100000` from before the shared
     # square-free candidate list
-    rows = [CSV_HEADER, *(r.csv_row() for r in scan_range(3, 100_000, jobs=2))]
-    digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+    digest = hashlib.sha256(scan_range(3, 100_000, jobs=2).encode()).hexdigest()
     assert digest == "cfe85c7bd96840c359f78fb6b39e4d2fb16643e64c44aa08cb9e072ea2eb9501"
 
 
 def test_scan_csv_to_1e6_pinned():
     # sha256 of `sfpr scan --from 3 --to 1000000` when every row came from
-    # the scalar searches of scan_record
-    rows = [CSV_HEADER, *(r.csv_row() for r in scan_range(3, 10**6, jobs=2))]
-    digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+    # the scalar searches of one prime at a time
+    digest = hashlib.sha256(scan_range(3, 10**6, jobs=2).encode()).hexdigest()
     assert digest == "ba6944ed280e0986282a95075e7a9784e454ad5ab0929f41d0c4c970fc937ee7"
 
 
@@ -724,7 +768,7 @@ def test_scan_jobs_independent(monkeypatch):
     monkeypatch.setattr(counting, "BLOCK_SIZE", 16)
     one = scan_range(3, 2000, jobs=1)
     two = scan_range(3, 2000, jobs=2)
-    assert [r.csv_row() for r in one] == [r.csv_row() for r in two]
+    assert one == two
 
 
 class _RecordingPool:
@@ -773,16 +817,15 @@ def test_scan_rejects_bad_range():
 
 def test_hypothesis_scan_small(monkeypatch):
     monkeypatch.setattr(counting, "BLOCK_SIZE", 64)
-    rep = hypothesis_scan(2000, jobs=2)
-    assert isinstance(rep, HypothesisReport)
-    pairs = dict(rep.exceptional)
-    assert pairs[3] == 8 and pairs[5] == 8 and pairs[7] == 108
-    assert all(g >= p for p, g in rep.exceptional)
-    ps = [p for p, _ in rep.exceptional]
+    pairs = hypothesis_scan(2000, jobs=2)
+    assert isinstance(pairs, list) and all(isinstance(pair, tuple) for pair in pairs)
+    assert dict(pairs)[3] == 8 and dict(pairs)[5] == 8 and dict(pairs)[7] == 108
+    assert all(g >= p for p, g in pairs)
+    ps = [p for p, _ in pairs]
     assert ps == sorted(ps)
-    assert rep.largest == ps[-1]
+    assert len(set(ps)) == len(ps)
     inline = hypothesis_scan(2000, jobs=1)
-    assert inline.exceptional == rep.exceptional
+    assert inline == pairs
 
 
 def test_hypothesis_progress_callback():
