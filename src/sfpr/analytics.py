@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .characters import PrimeContext
+from .characters import PrimeContext, build_context
 from .charsums import sum_char_squarefull
 from .counting import count_by_target
 
@@ -212,10 +212,6 @@ class CpReport:
     terms_direct: int
     terms_closed: int
 
-    @property
-    def value(self) -> float:
-        return self.closed
-
 
 # Euler-Maclaurin for zeta(s, q): _EM_SHIFT terms summed directly, then
 # _EM_TERMS Bernoulli corrections at q + _EM_SHIFT >= 9; the next one bounds
@@ -270,8 +266,10 @@ def _cp_direct(ctx: PrimeContext) -> tuple[float, float, int]:
     return scale * float(np.sum(values)), scale * float(np.sum(remainders)), nonres.size
 
 
-def _cp_closed(ctx: PrimeContext) -> float:
-    return zeta(1.5) * (1.0 - ctx.p**-1.5) - L_quadratic(ctx).value
+def _cp_closed(ctx: PrimeContext, tol: float = _L_TOL) -> tuple[float, SeriesValue]:
+    """zeta(3/2)(1 - p^{-3/2}) - L(3/2, chi2), and the L value."""
+    lval = L_quadratic(ctx, tol)
+    return zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value, lval
 
 
 def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
@@ -281,8 +279,7 @@ def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     direct, direct_bound, n_direct = _cp_direct(ctx)
-    lval = L_quadratic(ctx, min(tol, _L_TOL))
-    closed = zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value
+    closed, lval = _cp_closed(ctx, min(tol, _L_TOL))
     residual = abs(direct - closed)
     if residual > tol + lval.tail_bound + direct_bound:
         raise ArithmeticError(f"C_p routes disagree by {residual} at p={ctx.p}")
@@ -298,7 +295,7 @@ def cp_lower_ratio(ctx: PrimeContext, cp: float | None = None) -> float:
     """C_p / p^{-1/(8 sqrt e)}, the lower-bound margin with implied
     constant 1."""
     if cp is None:
-        cp = _cp_closed(ctx)
+        cp = _cp_closed(ctx)[0]
     return cp * ctx.p**CP_LOWER_EXPONENT
 
 
@@ -311,17 +308,11 @@ class SweepResult:
     below_one: tuple[tuple[int, float], ...]  # every (p, ratio) with ratio <= 1
 
 
-def cp_ratio_sweep(limit: int, progress=None) -> SweepResult:
+def cp_ratio_sweep(limit: int) -> SweepResult:
     """cp_lower_ratio over all odd primes <= limit, each from the closed
     route at full precision."""
-    from .characters import build_context
-
     primes = [int(q) for q in arith.sieve_primes(limit)[1:]]
-    ratios = []
-    for i, p in enumerate(primes):
-        ratios.append(cp_lower_ratio(build_context(p)))
-        if progress and (i + 1) % 1024 == 0:
-            progress(i + 1, len(primes))
+    ratios = [cp_lower_ratio(build_context(p)) for p in primes]
     k = int(np.argmin(ratios))
     below = tuple((p, r) for p, r in zip(primes, ratios) if r <= 1.0)
     return SweepResult(limit, len(primes), ratios[k], primes[k], below)
@@ -332,7 +323,7 @@ def shapiro_c(ctx: PrimeContext, cp: float | None = None) -> float:
     exact collapse to C_p / (zeta(3)(1+1/p+1/p^2))."""
     p = ctx.p
     if cp is None:
-        cp = _cp_closed(ctx)
+        cp = _cp_closed(ctx)[0]
     return cp / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
 
 
@@ -373,36 +364,33 @@ def li(x: float) -> float:
 
 @dataclass(frozen=True)
 class MainTermBreakdown:
+    """An exact count against prefactor * (leading + secondary), with the
+    residual scaled by the error envelope; NaN where a divisor is 0."""
+
     p: int
     x: int
     target: str
     leading_term: float
     secondary_term: float
     prefactor: float
-    predicted: float
     exact: int
-    relative_error: float
-    residual: float
-    residual_scaled: float
+    envelope: float
 
+    @property
+    def predicted(self) -> float:
+        return self.prefactor * (self.leading_term + self.secondary_term)
 
-def _breakdown(ctx, x, target, leading, secondary, prefactor, exact, envelope):
-    predicted = prefactor * (leading + secondary)
-    residual = exact - predicted
-    rel = residual / predicted if predicted != 0 else math.nan
-    return MainTermBreakdown(
-        p=ctx.p,
-        x=x,
-        target=target,
-        leading_term=leading,
-        secondary_term=secondary,
-        prefactor=prefactor,
-        predicted=predicted,
-        exact=exact,
-        relative_error=rel,
-        residual=residual,
-        residual_scaled=residual / envelope if envelope != 0 else math.nan,
-    )
+    @property
+    def residual(self) -> float:
+        return self.exact - self.predicted
+
+    @property
+    def relative_error(self) -> float:
+        return self.residual / self.predicted if self.predicted != 0 else math.nan
+
+    @property
+    def residual_scaled(self) -> float:
+        return self.residual / self.envelope if self.envelope != 0 else math.nan
 
 
 def _pr_density(ctx: PrimeContext) -> float:
@@ -418,7 +406,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     if x < 1:
         raise ValueError("need x >= 1")
     p = ctx.p
-    leading = _cp_closed(ctx) * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
+    leading = _cp_closed(ctx)[0] * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
     exact = count_by_target(ctx, x, "squarefull", method="brute").brute_count
     env = (
         x ** (1.0 / 3.0)
@@ -427,7 +415,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
         * math.log(p) ** (1.0 / 6.0)
         * 2.0 ** len(ctx.p1_primes)
     )
-    return _breakdown(ctx, x, "thm1", leading, 0.0, _pr_density(ctx), exact, env)
+    return MainTermBreakdown(p, x, "thm1", leading, 0.0, _pr_density(ctx), exact, env)
 
 
 def squarefull_charsum_main_term(
@@ -461,7 +449,7 @@ def squarefull_charsum_main_term(
     exact = round(raw.real)
     if abs(raw.real - exact) > 1e-6 or abs(raw.imag) > 1e-9:
         raise ArithmeticError(f"non-integral character sum {raw}")
-    return _breakdown(ctx, x, "lemma22", leading, secondary, 1.0, exact, env)
+    return MainTermBreakdown(p, x, "lemma22", leading, secondary, 1.0, exact, env)
 
 
 def prime_powerful_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
@@ -486,7 +474,7 @@ def prime_powerful_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     leading *= 2.0
     exact = count_by_target(ctx, x, "S", method="brute").brute_count
     env = 2.0 ** len(ctx.p1_primes) * x ** (1.0 / 3.0) * math.log(ctx.p * x) ** 2
-    return _breakdown(ctx, x, "thm31", leading, 0.0, _pr_density(ctx), exact, env)
+    return MainTermBreakdown(ctx.p, x, "thm31", leading, 0.0, _pr_density(ctx), exact, env)
 
 
 def squarefree_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
@@ -499,7 +487,7 @@ def squarefree_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     p = ctx.p
     leading = p * arith.euler_phi(p - 1) / (p**2 - 1) * (6.0 / math.pi**2) * x
     exact = count_by_target(ctx, x, "squarefree", method="brute").brute_count
-    return _breakdown(ctx, x, "prop42", leading, 0.0, 1.0, exact, math.sqrt(x))
+    return MainTermBreakdown(p, x, "prop42", leading, 0.0, 1.0, exact, math.sqrt(x))
 
 
 _MAIN_TERMS = {

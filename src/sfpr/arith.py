@@ -110,15 +110,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_TRIAL_LIMIT = 100_000
-_trial_primes: list[int] | None = None
-
-
+@functools.cache
 def _small_primes() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = [int(p) for p in sieve_primes(_TRIAL_LIMIT)]
-    return _trial_primes
+    """The trial divisors of factorize."""
+    return sieve_primes(100_000).tolist()
 
 
 def _pollard_rho(n: int) -> int:
@@ -200,8 +195,7 @@ def mobius_table(limit: int) -> np.ndarray:
         raise ValueError("mobius table needs limit >= 1")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in sieve_primes(max(2, limit)) if limit >= 2 else ():
-        p = int(p)
+    for p in sieve_primes(max(2, limit)).tolist():
         mu[p::p] *= -1
         sq = p * p
         if sq <= limit:

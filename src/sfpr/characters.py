@@ -18,10 +18,14 @@ an index. The Legendre-symbol table needs no logs and serves p up to
 MAX_QR_P = 2^24, where the constants report built on it peaks under 1 GB;
 above it qr_signs raises ValueError before allocating anything.
 
-Character values are read in one place, PrimeContext.values: the roots of
-unity gathered at j ind(m) mod p-1 for a matrix of characters j and points m.
+Character values are read through PrimeContext.values: the roots of unity
+gathered at j ind(m) mod p-1 for a matrix of characters j and points m.
 Nothing keeps a per-character table; a caller that needs chi_j over all p
-residues asks for that row and drops it.
+residues asks for that row and drops it. The one exception is
+charsums._interval_values, which gathers its prefixes into reused buffers
+in place: through PrimeContext.values the same bits took 1.6-1.9 times as
+long per call (0.85 against 0.53 ms at p = 3967, 23.2 against 12.4 ms at
+p = 99991, on 2 cores), about 11% more time for `sfpr verify`.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ characters: the (k, n) matrix of character values at those points
 sums at the matching bounds (_interval_values), summed along each row.
 Interval sums come from one prefix per character: over 1..max(x) when every
 bound is below p, otherwise over a single period extended by periodicity.
-The prefixes are built in place, a block of rows of at most p entries at a
-time, and not cached: near MAX_LOG_P each row is 64 MB. A direct sum takes
-the family's walk histogram (squarefull.*_walk: the members counted by
-residue class mod p) and dots it with each character's values over the p
-residues, one row of PrimeContext.values at a time, so it holds O(p) values.
+The prefixes are gathered in place, a block of rows of at most p entries at
+a time, not through PrimeContext.values (see sfpr.characters), and not
+cached: near MAX_LOG_P each row is 64 MB. A direct sum takes the family's
+walk histogram (squarefull.*_walk: the members counted by residue class mod
+p) and dots it with each character's values over the p residues, one row of
+PrimeContext.values at a time, so it holds O(p) values.
 Every route reads discrete logs, so every sum here raises ValueError for p >
 characters.MAX_LOG_P.
 
@@ -35,7 +36,6 @@ Legendre symbols of the quadratic character as exact integer partial sums.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import arith, squarefull
-from .characters import PrimeContext
+from .characters import PrimeContext, build_context
 
 __all__ = [
     "SumResult",
@@ -62,12 +62,6 @@ class SumResult:
 
     value: np.ndarray
     terms_used: int
-    route: str
-
-
-@functools.lru_cache(maxsize=4)
-def _primes_cached(limit: int) -> np.ndarray:
-    return arith.sieve_primes(limit)
 
 
 def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -113,7 +107,7 @@ def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
         values, terms = factored(ctx, js, x)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return SumResult(values, terms * len(js), route)
+    return SumResult(values, terms * len(js))
 
 
 def sum_char_squarefull(
@@ -155,7 +149,7 @@ def sum_char_prime_powerful(
 def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
     rmax = arith.icbrt(x)
     n = ctx.p - 1
-    primes = _primes_cached(max(math.isqrt(x // 8), rmax, 2))
+    primes = arith.sieve_primes(max(math.isqrt(x // 8), rmax, 2))
     r = primes[: np.searchsorted(primes, rmax, side="right")]
     qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
     k = np.searchsorted(primes, qmax, side="right")
@@ -183,8 +177,6 @@ def burgess_gauge_max(
     Partial sums are exact integers (Legendre values), so the result is a
     deterministic regression pin.
     """
-    from .characters import build_context
-
     best = {"ratio": -1.0}
     for p in ps:
         ctx = build_context(p)
@@ -208,9 +200,7 @@ def grh_gauge_max(ps: tuple[int, ...] = (101, 1009, 10007), xmax: int = 10**7) -
     Between consecutive primes the numerator is constant and the envelope
     grows, so scanning x over primes is exact.
     """
-    from .characters import build_context
-
-    primes = _primes_cached(xmax)
+    primes = arith.sieve_primes(xmax)
     best = {"ratio": -1.0}
     for p in ps:
         ctx = build_context(p)

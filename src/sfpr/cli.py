@@ -74,6 +74,7 @@ def _progress(label: str):
 
 
 def _parse_grid(spec: str) -> list[int]:
+    """The distinct x = round(lo * decade^k) <= hi, ascending."""
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -83,12 +84,12 @@ def _parse_grid(spec: str) -> list[int]:
         raise ValueError(f"x-grid bounds and decade must be finite, got {spec}")
     if lo < 1 or hi < lo or step <= 1:
         raise ValueError("x-grid must be lo:hi:decade with lo >= 1 and decade > 1")
-    xs = []
+    xs = set()
     x = lo
     while x <= hi * (1 + 1e-9):
-        xs.append(round(x))
+        xs.add(round(x))
         x *= step
-    return xs
+    return sorted(xs)
 
 
 def cmd_count(args) -> int:
@@ -99,7 +100,8 @@ def cmd_count(args) -> int:
     # the wall-clock fields would make stdout differ between identical runs
     payload = {k: v for k, v in asdict(rep).items() if not k.startswith("elapsed_")}
     _emit(_json(payload), args.out)
-    if rep.residual is not None and rep.residual > args.tolerance * max(1, rep.characters_used):
+    bound = args.tolerance * max(1, rep.characters_used)
+    if rep.residual is not None and not rep.residual <= bound:  # a NaN residual fails too
         print(f"{PROG}: residual {rep.residual} exceeds tolerance", file=sys.stderr)
         return 2
     return 0

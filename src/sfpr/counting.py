@@ -35,7 +35,7 @@ of candidates, tested against the distinct primes of p - 1 by
 arith.is_primitive_root. Each list has one source, started on first use and
 drawn from once per process, so every search shares what was drawn: the
 square-full non-squares of squarefull.squarefull_stream for g_sf(p), the
-square-free m >= 2 (mu(m) != 0, by arith.mobius), and the non-squares from 2
+square-free m >= 2 (squarefull.squarefree_numbers), and the non-squares from 2
 for g(p), the n-th being n + round(sqrt(n)). Dropping the squares is exact
 for every odd p: a square is 0 or a quadratic residue mod p, and 2 | p - 1,
 so its order divides (p - 1)/2 and it is never a primitive root.
@@ -298,7 +298,7 @@ _KINDS = {
         lambda: (m for m in squarefull.squarefull_stream() if math.isqrt(m) ** 2 != m),
         3,
     ),
-    "squarefree": (lambda: (m for m in itertools.count(2) if arith.mobius(m)), 1),
+    "squarefree": (squarefull.squarefree_numbers, 1),
     # the n-th non-square is n + round(sqrt(n))
     "nonsquare": (lambda: (n + (1 + math.isqrt(4 * n)) // 2 for n in itertools.count(1)), 1),
 }
@@ -395,9 +395,7 @@ _LANE_FIRST = 2
 class _Head(NamedTuple):
     cands: np.ndarray  # the candidates m, int64 ascending
     ells: np.ndarray  # the primes l with l^k <= the last m
-    in_b: np.ndarray  # [l divides m an odd number of times], one row per l
-    odd_power: np.ndarray  # the odd part r of the gcd of m's exponents
-    b_words: np.ndarray  # in_b as packed words, one row per m
+    b_words: np.ndarray  # per m, bit i set where ells[i] divides m an odd number of times
     s_primes: np.ndarray  # the odd primes s <= max(r): fewer than 64, as r < 63
     r_mask: np.ndarray  # one word per m, bit i set where s_primes[i] divides r
 
@@ -439,8 +437,7 @@ def _lane_head(kind: str, level: int = 0) -> _Head:
     odd_power = g // (g & -g)
     s_primes = arith.sieve_primes(max(2, int(odd_power.max())))[1:]
     head = _Head(
-        cands, ells, in_b, odd_power, _words(in_b.T == 1), s_primes,
-        _words(odd_power[:, None] % s_primes == 0)[:, 0],
+        cands, ells, _words(in_b.T == 1), s_primes, _words(odd_power[:, None] % s_primes == 0)[:, 0]
     )
     for a in head:
         a.flags.writeable = False

@@ -23,6 +23,7 @@ from . import arith
 
 __all__ = [
     "enumerate_squarefull",
+    "squarefree_numbers",
     "squarefull_stream",
     "squarefull_runs",
     "squarefree_table",
@@ -51,23 +52,21 @@ def enumerate_squarefull(x: int) -> Iterator[int]:
     return itertools.takewhile(lambda m: m <= x, squarefull_stream())
 
 
+def squarefree_numbers() -> Iterator[int]:
+    """Unbounded ascending square-free numbers from 2: mu(m) != 0."""
+    return (m for m in itertools.count(2) if arith.mobius(m))
+
+
 def squarefull_stream() -> Iterator[int]:
     """Unbounded ascending square-full stream; new b streams enter when their
     first element b^3 surfaces."""
-
-    def next_squarefree(b: int) -> int:
-        b += 1
-        while any(b % (d * d) == 0 for d in range(2, math.isqrt(b) + 1)):
-            b += 1
-        return b
-
+    bs = squarefree_numbers()
     heap = [(1, 1, 1)]
-    b_next = 2
     while True:
         v, a, b = heapq.heappop(heap)
         if a == 1:
+            b_next = next(bs)
             heapq.heappush(heap, (b_next**3, 1, b_next))
-            b_next = next_squarefree(b_next)
         heapq.heappush(heap, ((a + 1) * (a + 1) * b * b * b, a + 1, b))
         yield v
 

@@ -29,24 +29,36 @@ _IDENTITY_PRIMES = tuple(int(p) for p in arith.sieve_primes(199)[1:])
 _IDENTITY_XS = (10**2, 10**3, 10**4)
 
 
+def _max(residuals) -> float:
+    """The largest residual, NaN if any is NaN, 0.0 for none."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _tally(suite: str, checks: list[tuple[bool, float]]) -> dict:
+    """A suite's report from its (ok, residual) checks. Each ok is the
+    comparison a passing case satisfies, so a NaN residual fails it."""
+    return {
+        "suite": suite,
+        "cases": len(checks),
+        "failures": sum(not ok for ok, _ in checks),
+        "max_residual": _max([r for _, r in checks]),
+    }
+
+
 def run_identity_suite(seed: int = 20250822, progress=None) -> dict:
     """Charsum-vs-brute counting identity over every odd p < 200 and
     x in {1e2,1e3,1e4} for all three families, plus 100 randomized
     factored-vs-direct cases per family (relative 1e-9)."""
-    cases = failures = 0
-    max_residual = 0.0
+    checks = []
     total = len(_IDENTITY_PRIMES) * len(_IDENTITY_XS) * len(FAMILIES)
     for p in _IDENTITY_PRIMES:
         ctx = build_context(p)
         for x in _IDENTITY_XS:
             for family in FAMILIES:
                 rep = count_by_target(ctx, x, family)
-                cases += 1
-                max_residual = max(max_residual, rep.residual)
-                if rep.residual >= 1e-6:
-                    failures += 1
+                checks.append((rep.residual < 1e-6, rep.residual))
         if progress:
-            progress(cases, total)
+            progress(len(checks), total)
     rng = random.Random(seed)
     route_ps = [int(p) for p in arith.sieve_primes(10**4)[1:]]
     for _ in range(100):
@@ -58,69 +70,58 @@ def run_identity_suite(seed: int = 20250822, progress=None) -> dict:
             direct = fn(ctx, [j], x, route="direct").value[0]
             factored = fn(ctx, [j], x, route="factored").value[0]
             rel = abs(factored - direct) / max(1.0, abs(direct))
-            cases += 1
-            max_residual = max(max_residual, rel)
-            if rel >= 1e-9:
-                failures += 1
-    return {"suite": "identities", "cases": cases, "failures": failures, "max_residual": max_residual}
+            checks.append((rel < 1e-9, rel))
+    return _tally("identities", checks)
 
 
 def run_character_suite(progress=None) -> dict:
     """Orthogonality sum_j chi_j(m) = (p-1)[m=1] for every m, over odd
     primes up to 100; residual threshold 1e-9 (p-1)."""
-    cases = failures = 0
-    max_residual = 0.0
+    checks = []
     primes = [int(p) for p in arith.sieve_primes(100)[1:]]
     for i, p in enumerate(primes):
         ctx = build_context(p)
         sums = ctx.values(np.arange(p - 1), np.arange(p)).sum(axis=0)[1:]
         sums[0] -= p - 1  # m = 1
         resid = np.abs(sums)
-        cases += p - 1
-        max_residual = max(max_residual, float(resid.max()))
-        failures += int(np.count_nonzero(resid >= 1e-9 * (p - 1)))
+        checks += zip((resid < 1e-9 * (p - 1)).tolist(), resid.tolist())
         if progress:
             progress(i + 1, len(primes))
-    return {"suite": "characters", "cases": cases, "failures": failures, "max_residual": max_residual}
+    return _tally("characters", checks)
 
 
 def run_constants_suite(progress=None) -> dict:
     """C_p identity, value bounds, collapse identity, zeta and li
     cross-checks."""
-    cases = failures = 0
-    max_residual = 0.0
-
-    def check(ok: bool, resid: float = 0.0):
-        nonlocal cases, failures, max_residual
-        cases += 1
-        max_residual = max(max_residual, resid)
-        if not ok:
-            failures += 1
-
+    checks = []
     primes = (3, 5, 7, 11, 101, 1009)
     for i, p in enumerate(primes):
         ctx = build_context(p)
         rep = compute_Cp(ctx)
-        check(rep.residual < 1e-8, rep.residual)
-        check(0.0 < rep.closed < 2.0 * zeta(1.5))
-        c = shapiro_c(ctx)
+        c = shapiro_c(ctx, rep.closed)
         collapse = abs(c - rep.closed / (zeta(3.0) * (1 + 1 / p + 1 / p**2)))
-        check(collapse < 1e-10, collapse)
-        check(c <= rep.closed)
-        check(cp_lower_ratio(ctx, rep.closed) > 0.0)
+        checks += [
+            (rep.residual < 1e-8, rep.residual),
+            (0.0 < rep.closed < 2.0 * zeta(1.5), 0.0),
+            (collapse < 1e-10, collapse),
+            (c <= rep.closed, 0.0),
+            (cp_lower_ratio(ctx, rep.closed) > 0.0, 0.0),
+        ]
         if progress:
             progress(i + 1, len(primes))
     z2 = abs(zeta(2.0) - math.pi**2 / 6)
-    check(z2 < 1e-12, z2)
     z3 = abs(zeta(3.0) - 1.2020569031595943)
-    check(z3 < 1e-12, z3)
     exps = corollary_constants()
-    check(abs(exps["least_squarefull_exponent"] - 1.1215646614511416) < 1e-12)
-    check(abs(exps["cp_lower_exponent"] - 0.0758163324640792) < 1e-12)
     li_err = abs(li(10.0) - 5.12043572466980)
-    check(li_err < 1e-8, li_err)
-    check(li(2.0) == 0.0)
-    return {"suite": "constants", "cases": cases, "failures": failures, "max_residual": max_residual}
+    checks += [
+        (z2 < 1e-12, z2),
+        (z3 < 1e-12, z3),
+        (abs(exps["least_squarefull_exponent"] - 1.1215646614511416) < 1e-12, 0.0),
+        (abs(exps["cp_lower_exponent"] - 0.0758163324640792) < 1e-12, 0.0),
+        (li_err < 1e-8, li_err),
+        (li(2.0) == 0.0, 0.0),
+    ]
+    return _tally("constants", checks)
 
 
 _SUITES = {
@@ -141,6 +142,6 @@ def run_suite(name: str, progress=None) -> dict:
         "suite": "all",
         "cases": sum(r["cases"] for r in parts),
         "failures": sum(r["failures"] for r in parts),
-        "max_residual": max(r["max_residual"] for r in parts),
+        "max_residual": _max([r["max_residual"] for r in parts]),
         "suites": parts,
     }

@@ -206,7 +206,6 @@ def test_cp_identity(p):
     rep = compute_Cp(build_context(p))
     assert rep.residual < 1e-8
     assert 0.0 < rep.closed < 2.0 * zeta(1.5)
-    assert rep.value == rep.closed
 
 
 @pytest.mark.parametrize("p", [3, 101, 1052041])

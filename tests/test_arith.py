@@ -238,6 +238,7 @@ class TestMultiplicativeFunctions:
         mu = arith.mobius_table(2000)
         for n in range(1, 2001):
             assert int(mu[n]) == arith.mobius(n)
+        assert arith.mobius_table(1).tolist() == [0, 1]
 
     def test_divisors(self):
         assert oracle_divisors(12) == [1, 2, 3, 4, 6, 12]

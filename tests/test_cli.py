@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sfpr
-from sfpr import arith, cli
+from sfpr import arith, cli, verify
 from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
 
@@ -122,6 +122,15 @@ def test_count_tolerance_exceeded(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108")
     assert code == 2
     assert json.loads(out)["brute_count"] == 1
+    assert "tolerance" in err
+
+
+def test_count_nan_residual_fails(capsys, monkeypatch):
+    # NaN compares false against any tolerance, and the gate still trips
+    count = cli.count_by_target
+    monkeypatch.setattr(cli, "count_by_target", lambda *a: dataclasses.replace(count(*a), residual=math.nan))
+    code, _, err = run_cli(capsys, "count", "--p", "7", "--x", "108")
+    assert code == 2
     assert "tolerance" in err
 
 
@@ -525,11 +534,19 @@ def test_profile_bad_grid(capsys):
 def test_parse_grid():
     assert _parse_grid("1e2:1e4:10") == [100, 1000, 10000]
     assert _parse_grid("8:64:2") == [8, 16, 32, 64]
+    assert _parse_grid("100:110:1.001") == list(range(100, 111))
     with pytest.raises(ValueError):
         _parse_grid("5:1:10")
     for spec in ("1e2:nan:10", "1e2:inf:10", "nan:1e3:10", "inf:inf:10", "1e2:1e3:nan", "1e2:1e3:inf"):
         with pytest.raises(ValueError, match="finite"):
             _parse_grid(spec)
+
+
+def test_profile_rows_distinct_x(capsys):
+    # the 96 steps of 1.001 from 100 to 110 round to 11 integers, one row each
+    code, out, _ = run_cli(capsys, "profile", "--p", "7", "--target", "prop42", "--x-grid", "100:110:1.001")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(x) for x in range(100, 111)]
 
 
 @pytest.mark.parametrize("spec", ["1e2:nan:10", "1e2:inf:10"])
@@ -565,6 +582,99 @@ def test_verify_constants_progress(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "constants")
     assert code == 0
     assert err.splitlines() == [f"verify[constants]: {i}/6" for i in range(1, 7)]
+
+
+# One case per suite, planted with a given residual through a stand-in for a
+# function of sfpr.verify: (name of the stand-in, make it from the original)
+
+
+def _planted_count(residual):
+    # the charsum-vs-brute count at (p, x, target) = (3, 100, squarefull)
+    def make(count):
+        def stand_in(ctx, x, target):
+            rep = count(ctx, x, target)
+            hit = (ctx.p, x, target) == (3, 100, "squarefull")
+            return dataclasses.replace(rep, residual=residual) if hit else rep
+
+        return stand_in
+
+    return "count_by_target", make
+
+
+def _planted_character(error):
+    # the orthogonality sum at m = 2 mod 3, through chi_0(2)
+    def make(build):
+        def stand_in(p):
+            ctx = build(p)
+            if p == 3:
+                values = ctx.values
+
+                def planted(js, ms):
+                    v = values(js, ms)
+                    v[0, 2] += error
+                    return v
+
+                ctx.values = planted
+            return ctx
+
+        return stand_in
+
+    return "build_context", make
+
+
+def _planted_cp(residual):
+    # the residual of the two C_p routes at p = 101
+    def make(compute):
+        def stand_in(ctx):
+            rep = compute(ctx)
+            return dataclasses.replace(rep, residual=residual) if ctx.p == 101 else rep
+
+        return stand_in
+
+    return "compute_Cp", make
+
+
+# a finite residual just past each suite's threshold
+_PAST_THRESHOLD = {
+    "identities": _planted_count(2e-6),
+    "characters": _planted_character(4e-9),  # the threshold is 1e-9 (p - 1)
+    "constants": _planted_cp(2e-8),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, plant",
+    [("identities", _planted_count(math.nan)), ("characters", _planted_character(math.nan))],
+)
+def test_verify_nan_residual_fails(monkeypatch, suite, plant):
+    # NaN fails every comparison with a threshold, and max() would drop it
+    name, make = plant
+    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    rep = verify.run_suite(suite)
+    assert rep["failures"] == 1
+    assert math.isnan(rep["max_residual"])
+
+
+@pytest.mark.parametrize("suite", sorted(_PAST_THRESHOLD))
+def test_verify_planted_failure(capsys, monkeypatch, suite):
+    clean = verify.run_suite(suite)
+    assert clean["failures"] == 0
+    name, make = _PAST_THRESHOLD[suite]
+    run = verify._SUITES[suite]
+
+    def planted(progress=None):
+        # the stand-in only while its own suite runs
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, make(getattr(verify, name)))
+            return run(progress=progress)
+
+    monkeypatch.setitem(verify._SUITES, suite, planted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["failures"] == 1
+    (part,) = [r for r in rep["suites"] if r["suite"] == suite]
+    assert part["failures"] == 1 and part["cases"] == clean["cases"]
 
 
 # -- plumbing ----------------------------------------------------------------

@@ -498,9 +498,23 @@ def test_lane_search_skips_multiples_of_p(monkeypatch):
     cands, ells, in_b, odd_power = np.array([200, 8]), np.array([2]), np.array([[1, 1]]), np.array([1, 3])
     s_primes = np.array([3])
     words, r_mask = counting._words(in_b.T == 1), counting._words(odd_power[:, None] % s_primes == 0)[:, 0]
-    head = counting._Head(cands, ells, in_b, odd_power, words, s_primes, r_mask)
+    head = counting._Head(cands, ells, words, s_primes, r_mask)
     monkeypatch.setattr(counting, "_lane_head", lambda kind, level=0: head)
     assert _lanes(np.array([5]), "squarefull").tolist() == [8]
+
+
+def _odd_powers(head):
+    """For every candidate m of the head, by factorize: the odd part r of
+    the gcd of m's exponents, so that m is an r-th power."""
+    gs = [math.gcd(*(e for _, e in arith.factorize(m))) for m in head.cands.tolist()]
+    return np.array([g // (g & -g) for g in gs])
+
+
+def _in_b(head):
+    """[l divides m an odd number of times], by factorize, one row per ell l
+    of the head and one column per candidate m."""
+    exps = [dict(arith.factorize(m)) for m in head.cands.tolist()]
+    return np.array([[e.get(ell, 0) % 2 for e in exps] for ell in head.ells.tolist()])
 
 
 @pytest.mark.parametrize("kind", sorted(counting._KINDS))
@@ -515,8 +529,8 @@ def test_packed_rules_match_their_matrix_forms(kind):
     ps = np.sort(rng.choice(arith.sieve_primes(200_000)[1:], 400, replace=False))
     nonres, s_mask = counting._prime_bits(head, ps)
     symbols = np.stack([[oracle_legendre(int(ell), p) for ell in head.ells] for p in ps.tolist()])
-    parity = (symbols == -1).astype(np.int64) @ head.in_b % 2 == 1
-    coprime = np.gcd(head.odd_power, ps[:, None] - 1) == 1
+    parity = (symbols == -1).astype(np.int64) @ _in_b(head) % 2 == 1
+    coprime = np.gcd(_odd_powers(head), ps[:, None] - 1) == 1
     n = len(head.cands)
     assert (counting._usable(head, nonres, np.zeros_like(s_mask), 0, n) == parity).all()
     assert ((s_mask[:, None] & head.r_mask == 0) == coprime).all()
@@ -524,25 +538,22 @@ def test_packed_rules_match_their_matrix_forms(kind):
     assert parity.any() and (~parity).any() and (~coprime).any() == (kind != "squarefree")
 
 
-def _odd_part(n):
-    return n // (n & -n)
-
-
 @pytest.mark.parametrize("kind", sorted(counting._KINDS))
 def test_lane_head_odd_power_matches_factorize(kind):
+    # bit i of r_mask is set where the odd prime s_primes[i] divides r
     head = counting._lane_head(kind)
-    cands, odd_power = head.cands, head.odd_power
-    assert len(cands) == len(odd_power) == counting._LANE_HEAD
-    for m, r in zip(cands.tolist(), odd_power.tolist()):
-        assert r == _odd_part(math.gcd(*(e for _, e in arith.factorize(m)))), m
+    odd_power = _odd_powers(head)
+    assert len(head.cands) == len(head.r_mask) == counting._LANE_HEAD
+    assert head.s_primes.tolist() == arith.sieve_primes(max(2, int(odd_power.max())))[1:].tolist()
+    bits = head.r_mask[:, None] >> np.arange(len(head.s_primes), dtype=np.uint64) & np.uint64(1)
+    assert ((bits == 1) == (odd_power[:, None] % head.s_primes == 0)).all()
 
 
 @pytest.mark.parametrize("kind", sorted(counting._KINDS))
 def test_perfect_power_candidates_are_no_primitive_roots(kind):
     # m an r-th power and s an odd prime of gcd(r, p - 1): m^((p-1)/s) = 1
     head = counting._lane_head(kind)
-    cands, odd_power = head.cands, head.odd_power
-    powers = [(m, r) for m, r in zip(cands.tolist(), odd_power.tolist()) if r > 1]
+    powers = [(m, r) for m, r in zip(head.cands.tolist(), _odd_powers(head).tolist()) if r > 1]
     tested = 0
     for p in arith.sieve_primes(20000)[1:].tolist():
         qs = tuple(q for q, _ in arith.factorize(p - 1))

@@ -74,6 +74,11 @@ class TestSquarefreeTable:
             want = mobius_table(x) != 0
             assert np.array_equal(squarefull.squarefree_table(x), want), x
 
+    def test_squarefree_numbers_prefix(self):
+        # the source of the square-full stream's b and of the square-free candidates
+        want = np.flatnonzero(squarefull.squarefree_table(10**4))[1:].tolist()
+        assert list(itertools.islice(squarefull.squarefree_numbers(), len(want))) == want
+
     def test_complement_of_squarefull_overlap(self):
         # 1 is both square-free and square-full; below 100 nothing else is
         sf = squarefull.squarefree_table(100)
