@@ -73,6 +73,7 @@ __all__ = [
     "squarefull_charsum_main_term",
     "prime_powerful_main_term",
     "squarefree_pr_main_term",
+    "MAIN_TERMS",
     "main_term_by_target",
     "corollary_constants",
     "ConstantsReport",
@@ -211,6 +212,7 @@ class CpReport:
     closed_tail_bound: float
     terms_direct: int
     terms_closed: int
+    L_three_halves_quadratic: float  # the L value the closed route subtracts
 
 
 # Euler-Maclaurin for zeta(s, q): _EM_SHIFT terms summed directly, then
@@ -284,7 +286,7 @@ def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
     if residual > tol + lval.tail_bound + direct_bound:
         raise ArithmeticError(f"C_p routes disagree by {residual} at p={ctx.p}")
     return CpReport(
-        ctx.p, direct, closed, residual, direct_bound, lval.tail_bound, n_direct, lval.terms
+        ctx.p, direct, closed, residual, direct_bound, lval.tail_bound, n_direct, lval.terms, lval.value
     )
 
 
@@ -318,13 +320,16 @@ def cp_ratio_sweep(limit: int) -> SweepResult:
     return SweepResult(limit, len(primes), ratios[k], primes[k], below)
 
 
+def _squarefull_denominator(p: int) -> float:  # shapiro_c and the square-full main terms divide by it
+    return zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2)
+
+
 def shapiro_c(ctx: PrimeContext, cp: float | None = None) -> float:
     """2(1-1/p) sum over square-free non-residues of n^{-3/2}, via the
     exact collapse to C_p / (zeta(3)(1+1/p+1/p^2))."""
-    p = ctx.p
     if cp is None:
         cp = _cp_closed(ctx)[0]
-    return cp / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
+    return cp / _squarefull_denominator(ctx.p)
 
 
 # li(2), the offset between li and the logarithmic integral from 2
@@ -406,7 +411,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     if x < 1:
         raise ValueError("need x >= 1")
     p = ctx.p
-    leading = _cp_closed(ctx)[0] * math.sqrt(x) / (zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2))
+    leading = _cp_closed(ctx)[0] * math.sqrt(x) / _squarefull_denominator(p)
     exact = count_by_target(ctx, x, "squarefull", method="brute").brute_count
     env = (
         x ** (1.0 / 3.0)
@@ -430,7 +435,7 @@ def squarefull_charsum_main_term(
     if x < 1:
         raise ValueError("need x >= 1")
     p = ctx.p
-    denom = zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2)
+    denom = _squarefull_denominator(p)
     if case == "principal":
         leading = zeta(1.5) * (1.0 - p**-1.5) / denom * math.sqrt(x)
         secondary = (
@@ -490,8 +495,10 @@ def squarefree_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     return MainTermBreakdown(p, x, "prop42", leading, 0.0, 1.0, exact, math.sqrt(x))
 
 
-_MAIN_TERMS = {
+# target -> its main term, in the CLI's order; only lemma22 takes a character case
+MAIN_TERMS = {
     "thm1": squarefull_pr_main_term,
+    "lemma22": squarefull_charsum_main_term,
     "thm31": prime_powerful_main_term,
     "prop42": squarefree_pr_main_term,
 }
@@ -500,14 +507,13 @@ _MAIN_TERMS = {
 def main_term_by_target(
     ctx: PrimeContext, x: int, target: str, case: str = "principal"
 ) -> MainTermBreakdown:
-    if target != "lemma22" and target not in _MAIN_TERMS:
+    if target not in MAIN_TERMS:
         raise ValueError(f"unknown target {target!r}")
     # every target counts through discrete logs: past MAX_LOG_P this raises
     # before any main term is computed
     ctx.index_table()
-    if target == "lemma22":
-        return squarefull_charsum_main_term(ctx, x, case)
-    return _MAIN_TERMS[target](ctx, x)
+    fn = MAIN_TERMS[target]
+    return fn(ctx, x, case) if target == "lemma22" else fn(ctx, x)
 
 
 # -- constants reports -------------------------------------------------------
@@ -542,8 +548,7 @@ def constants_report(ctx: PrimeContext, tol: float = 1e-8) -> ConstantsReport:
         p=ctx.p,
         C_p=rep.closed,
         shapiro_c=shapiro_c(ctx, rep.closed),
-        # the L value compute_Cp subtracted, recovered up to one rounding
-        L_three_halves_quadratic=zeta(1.5) * (1.0 - ctx.p**-1.5) - rep.closed,
+        L_three_halves_quadratic=rep.L_three_halves_quadratic,
         zeta3=zeta(3.0),
         zeta_two_thirds=zeta(2.0 / 3.0),
         cp_lower_ratio=cp_lower_ratio(ctx, rep.closed),

@@ -1,6 +1,5 @@
 """Character sums over square-full numbers, square-free numbers and the
-prime-powerful set {q^2 r^3}, and the maxima of the quadratic character's
-interval and prime sums against two analytic envelopes.
+prime-powerful set {q^2 r^3}.
 
 Each restricted sum has two interchangeable routes. "direct" walks the defining
 set and adds character values. "factored" rewrites the sum exactly:
@@ -29,9 +28,6 @@ p) and dots it with each character's values over the p residues, one row of
 PrimeContext.values at a time, so it holds O(p) values.
 Every route reads discrete logs, so every sum here raises ValueError for p >
 characters.MAX_LOG_P.
-
-The gauges (burgess_gauge_max, grh_gauge_max) read no logs: they take the
-Legendre symbols of the quadratic character as exact integer partial sums.
 """
 
 from __future__ import annotations
@@ -43,15 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from . import arith, squarefull
-from .characters import PrimeContext, build_context
+from .characters import PrimeContext
 
 __all__ = [
     "SumResult",
     "sum_char_squarefull",
     "sum_char_squarefree",
     "sum_char_prime_powerful",
-    "burgess_gauge_max",
-    "grh_gauge_max",
 ]
 
 
@@ -156,59 +150,3 @@ def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple
     cum = np.zeros((len(js), len(primes) + 1), dtype=np.complex128)
     np.cumsum(ctx.values(2 * js % n, primes), axis=1, out=cum[:, 1:])
     return (ctx.values(3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())
-
-
-# -- empirical envelope gauges ----------------------------------------------
-
-
-def burgess_envelope(p: int, x: int, r: int) -> float:
-    return x ** (1 - 1 / r) * p ** ((r + 1) / (4 * r * r)) * math.log(p) ** (1 / (2 * r))
-
-
-def burgess_gauge_max(
-    ps: tuple[int, ...] = (101, 1009, 10007),
-    rs: tuple[int, ...] = (2, 3),
-    xmax: int = 10**4,
-) -> dict:
-    """Max of |sum_{m <= x} (m|p)| / burgess_envelope(p, x, r) over x in
-    [2, xmax]: a measured gauge, not a theorem (the true inequality carries
-    an unspecified constant).
-
-    Partial sums are exact integers (Legendre values), so the result is a
-    deterministic regression pin.
-    """
-    best = {"ratio": -1.0}
-    for p in ps:
-        ctx = build_context(p)
-        signs = ctx.qr_signs()
-        x = np.arange(1, xmax + 1, dtype=np.int64)
-        partial = np.cumsum(signs[x % p].astype(np.int64))
-        absS = np.abs(partial[1:]).astype(np.float64)  # x >= 2
-        xs = x[1:].astype(np.float64)
-        for r in rs:
-            ratios = absS / burgess_envelope(p, xs, r)
-            k = int(np.argmax(ratios))
-            if ratios[k] > best["ratio"]:
-                best = {"ratio": float(ratios[k]), "p": p, "r": r, "x": int(x[1:][k])}
-    return best
-
-
-def grh_gauge_max(ps: tuple[int, ...] = (101, 1009, 10007), xmax: int = 10**7) -> dict:
-    """Max of |sum_{q <= x, q prime} (q|p)| against the conditional
-    sqrt(x) log^2(px) envelope over x <= xmax.
-
-    Between consecutive primes the numerator is constant and the envelope
-    grows, so scanning x over primes is exact.
-    """
-    primes = arith.sieve_primes(xmax)
-    best = {"ratio": -1.0}
-    for p in ps:
-        ctx = build_context(p)
-        signs = ctx.qr_signs()
-        partial = np.cumsum(signs[primes % p].astype(np.int64))
-        xs = primes.astype(np.float64)
-        ratios = np.abs(partial) / (np.sqrt(xs) * np.log(p * xs) ** 2)
-        k = int(np.argmax(ratios))
-        if ratios[k] > best["ratio"]:
-            best = {"ratio": float(ratios[k]), "p": p, "x": int(primes[k])}
-    return best

@@ -25,12 +25,13 @@ from dataclasses import asdict
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .analytics import constants_report, main_term_by_target
+from .analytics import MAIN_TERMS, constants_report, main_term_by_target
 from .characters import build_context
 from .counting import FAMILIES, count_by_target, hypothesis_scan, least_csv, scan_range
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 PROG = "sfpr"
+MAX_GRID_POINTS = 1000  # of an --x-grid, before rounding; the README's largest has 96
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +75,7 @@ def _progress(label: str):
 
 
 def _parse_grid(spec: str) -> list[int]:
-    """The distinct x = round(lo * decade^k) <= hi, ascending."""
+    """The distinct x = round(lo * decade^k) <= hi, ascending, for at most MAX_GRID_POINTS k."""
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -84,6 +85,9 @@ def _parse_grid(spec: str) -> list[int]:
         raise ValueError(f"x-grid bounds and decade must be finite, got {spec}")
     if lo < 1 or hi < lo or step <= 1:
         raise ValueError("x-grid must be lo:hi:decade with lo >= 1 and decade > 1")
+    points = math.floor(math.log(hi / lo) / math.log(step)) + 1
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"x-grid {spec} has {points} points, more than the cap of {MAX_GRID_POINTS}")
     xs = set()
     x = lo
     while x <= hi * (1 + 1e-9):
@@ -137,8 +141,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    ctx = build_context(args.p)
     xs = _parse_grid(args.x_grid)
+    ctx = build_context(args.p)
     if args.target == "thm31":
         xs = [x for x in xs if x >= 8]
     lines = ["x,exact,predicted,relative_error,residual_scaled"]
@@ -191,7 +195,7 @@ def build_parser() -> _Parser:
 
     sp = add("profile", cmd_profile, help="main-term error profile over an x grid")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--target", choices=["thm1", "lemma22", "thm31", "prop42"], required=True)
+    sp.add_argument("--target", choices=list(MAIN_TERMS), required=True)
     sp.add_argument("--x-grid", dest="x_grid", default="1e2:1e6:10")
     sp.add_argument(
         "--method",
@@ -201,9 +205,7 @@ def build_parser() -> _Parser:
     )
 
     sp = add("verify", cmd_verify, help="run identity suites")
-    sp.add_argument(
-        "--suite", choices=["identities", "characters", "constants", "all"], default="all"
-    )
+    sp.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     return parser
 
 

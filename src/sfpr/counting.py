@@ -57,7 +57,7 @@ lanes (arith.pow_mod_lanes), exact up to arith.MAX_INT64_MODULUS, over a
 head of _LANE_HEAD candidates, built once before any worker forks; the few
 primes still open after it go on along heads twice as long, to
 SEARCH_CEILING, so every prime of a block is found in lanes. The scalar
-routes of _SCALAR answer `least` and cross-check the lanes: every prime of a
+routes of _KINDS answer `least` and cross-check the lanes: every prime of a
 block with g_sf(p) >= p, and CROSS_CHECK_SAMPLE more drawn by a
 random.Random seeded from the block's first prime, is rebuilt once on
 build_context (p - 1 factored by arith.factorize); its lane row of the
@@ -290,20 +290,6 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
 # -- least elements ---------------------------------------------------------
 
 
-# kind -> (source of its candidates, k), in the CSV's column order: every
-# candidate is m = a^2 b, b square-free, each prime of b <= m^(1/k). A source
-# is built on first use, so the square-full stream starts then, not at import
-_KINDS = {
-    "squarefull": (
-        lambda: (m for m in squarefull.squarefull_stream() if math.isqrt(m) ** 2 != m),
-        3,
-    ),
-    "squarefree": (squarefull.squarefree_numbers, 1),
-    # the n-th non-square is n + round(sqrt(n))
-    "nonsquare": (lambda: (n + (1 + math.isqrt(4 * n)) // 2 for n in itertools.count(1)), 1),
-}
-
-
 @functools.cache
 def _memo(kind: str) -> tuple[list[int], Iterator[int]]:
     """The candidates of kind drawn so far, and its source."""
@@ -344,15 +330,27 @@ def least_squarefree_pr(ctx: PrimeContext) -> int:
     return _first_pr("squarefree", ctx.p, ctx.p1_primes)
 
 
-# -- least elements of a prime range ----------------------------------------
-
-# kind -> its scalar route on a context, for `least` and the cross-check; it
-# holds the public functions, which perfbench's tracer rebinds in dicts
-_SCALAR = {
-    "squarefull": least_squarefull_pr,
-    "squarefree": least_squarefree_pr,
-    "nonsquare": lambda ctx: ctx.generator,  # arith.least_primitive_root
+# kind -> (source of its candidates, k, scalar route on a context), in the
+# CSV's column order: every candidate is m = a^2 b, b square-free, each prime
+# of b <= m^(1/k). A source is built on first use, so the square-full stream
+# starts then, not at import. The scalar routes, public functions that
+# perfbench's tracer rebinds in the tuples, answer `least` and cross-check.
+_KINDS = {
+    "squarefull": (
+        lambda: (m for m in squarefull.squarefull_stream() if math.isqrt(m) ** 2 != m),
+        3,
+        least_squarefull_pr,
+    ),
+    "squarefree": (squarefull.squarefree_numbers, 1, least_squarefree_pr),
+    "nonsquare": (  # the n-th non-square is n + round(sqrt(n))
+        lambda: (n + (1 + math.isqrt(4 * n)) // 2 for n in itertools.count(1)),
+        1,
+        lambda ctx: ctx.generator,  # arith.least_primitive_root
+    ),
 }
+
+
+# -- least elements of a prime range ----------------------------------------
 
 CSV_HEADER = "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega"
 
@@ -365,7 +363,7 @@ def least_csv(p: int) -> str:
     """The CSV of one prime: its row by the scalar routes on build_context,
     for any odd prime p < 2^63."""
     ctx = build_context(p)
-    row = _csv_row(p, *(least(ctx) for least in _SCALAR.values()), len(ctx.p1_primes))
+    row = _csv_row(p, *(least(ctx) for _, _, least in _KINDS.values()), len(ctx.p1_primes))
     return CSV_HEADER + "\n" + row
 
 
@@ -524,7 +522,7 @@ def _cross_check(ps: np.ndarray, p1_primes: np.ndarray, g: dict[str, np.ndarray]
         ctx = build_context(p)
         row = p1_primes[i]
         pairs = [("primes of p - 1", tuple(row[row > 0].tolist()), ctx.p1_primes)]
-        pairs += [(kind, int(g[kind][i]), _SCALAR[kind](ctx)) for kind in g]
+        pairs += [(kind, int(g[kind][i]), _KINDS[kind][2](ctx)) for kind in g]
         for what, lanes, scalar in pairs:
             if lanes != scalar:
                 raise ArithmeticError(

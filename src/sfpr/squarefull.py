@@ -22,7 +22,6 @@ import numpy as np
 from . import arith
 
 __all__ = [
-    "enumerate_squarefull",
     "squarefree_numbers",
     "squarefull_stream",
     "squarefull_runs",
@@ -43,13 +42,6 @@ def squarefree_table(x: int) -> np.ndarray:
         for q in arith.sieve_primes(math.isqrt(x)):
             t[q * q :: q * q] = False
     return t
-
-
-def enumerate_squarefull(x: int) -> Iterator[int]:
-    """Square-full numbers <= x, ascending: the head of squarefull_stream."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    return itertools.takewhile(lambda m: m <= x, squarefull_stream())
 
 
 def squarefree_numbers() -> Iterator[int]:

@@ -23,7 +23,7 @@ from .analytics import (
     zeta,
 )
 
-__all__ = ["run_identity_suite", "run_character_suite", "run_constants_suite", "run_suite"]
+__all__ = ["run_identity_suite", "run_character_suite", "run_constants_suite", "SUITES", "run_suite"]
 
 _IDENTITY_PRIMES = tuple(int(p) for p in arith.sieve_primes(199)[1:])
 _IDENTITY_XS = (10**2, 10**3, 10**4)
@@ -124,7 +124,7 @@ def run_constants_suite(progress=None) -> dict:
     return _tally("constants", checks)
 
 
-_SUITES = {
+SUITES = {
     "identities": run_identity_suite,
     "characters": run_character_suite,
     "constants": run_constants_suite,
@@ -133,11 +133,11 @@ _SUITES = {
 
 def run_suite(name: str, progress=None) -> dict:
     """One named suite, or the aggregate for "all"."""
-    if name in _SUITES:
-        return _SUITES[name](progress=progress)
+    if name in SUITES:
+        return SUITES[name](progress=progress)
     if name != "all":
         raise ValueError(f"unknown suite {name!r}")
-    parts = [fn(progress=progress) for fn in _SUITES.values()]
+    parts = [fn(progress=progress) for fn in SUITES.values()]
     return {
         "suite": "all",
         "cases": sum(r["cases"] for r in parts),

@@ -27,19 +27,19 @@ from sfpr import arith, verify
 from sfpr.analytics import (
     compute_Cp,
     corollary_constants,
-    cp_ratio_sweep,
     main_term_by_target,
     squarefull_charsum_main_term,
     squarefull_pr_main_term,
 )
 from sfpr.characters import build_context
-from sfpr.charsums import burgess_gauge_max, grh_gauge_max
 from sfpr.cli import main as cli_main
 from sfpr.counting import (
     hypothesis_scan,
     least_squarefree_pr,
     least_squarefull_pr,
 )
+
+from gauges import burgess_gauge_max, grh_gauge_max
 
 FIRST_RUN = {
     "burgess_max": {"ratio": 0.7237429302969588, "p": 1009, "r": 3, "x": 10},
@@ -151,14 +151,14 @@ def test_criterion_4_hypothesis_scan():
     )
 
 
-def test_criterion_5_cp_machinery():
+def test_criterion_5_cp_machinery(cp_sweep_1e5):
     t0 = time.time()
     worst = 0.0
     for p in (3, 5, 7, 11, 101, 1009, 1052041):
         rep = compute_Cp(build_context(p))
         worst = max(worst, rep.residual)
     ok_identity = worst < 1e-8
-    sweep = cp_ratio_sweep(100_000)
+    sweep = cp_sweep_1e5
     ok_bound = sweep.min_ratio > 1.0
     _verdict(
         5,

@@ -270,9 +270,9 @@ def test_cp_ratio_sweep_small():
     assert ps == sorted(ps)
 
 
-def test_cp_ratio_sweep_1e5():
+def test_cp_ratio_sweep_1e5(cp_sweep_1e5):
     # the measurement behind the documented criterion-5 failure
-    sw = cp_ratio_sweep(100_000)
+    sw = cp_sweep_1e5
     assert sw.primes_checked == 9591
     assert sw.argmin_p == 95471
     assert sw.min_ratio == pytest.approx(0.5258760849, abs=1e-9)
@@ -436,3 +436,11 @@ def test_constants_report_p7():
     assert rep.zeta3 == pytest.approx(1.2020569031595943, abs=1e-12)
     assert rep.cp_lower_ratio == pytest.approx(rep.C_p * 7**0.0758163324640792, rel=1e-9)
     assert rep.shapiro_c <= rep.C_p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009, 99991, 1052041])
+def test_constants_report_prints_the_computed_L(p):
+    # the L value itself, not zeta(3/2)(1 - p^{-3/2}) - C_p, which is one
+    # rounding off it at p = 101
+    ctx = build_context(p)
+    assert constants_report(ctx).L_three_halves_quadratic == L_quadratic(ctx).value

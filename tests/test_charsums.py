@@ -2,6 +2,7 @@
 randomized inputs, symmetry, and gauge sanity."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -12,6 +13,8 @@ from sfpr import arith, charsums, counting, squarefull
 from sfpr.characters import build_context
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import count_by_target
+
+import gauges
 
 
 def oracle_legendre(a, p):
@@ -123,7 +126,7 @@ class TestRouteEquality:
 
     def test_routes_match_power_oracle(self):
         ctx = build_context(211)
-        want = power_oracle(ctx, 5, squarefull.enumerate_squarefull(3000))
+        want = power_oracle(ctx, 5, itertools.takewhile(lambda m: m <= 3000, squarefull.squarefull_stream()))
         a = one(sum_char_squarefull, ctx, 5, 3000, "direct")
         b = one(sum_char_squarefull, ctx, 5, 3000, "factored")
         assert a == pytest.approx(want, abs=1e-9)
@@ -227,27 +230,27 @@ def grh_envelope(p, x):
 class TestGauges:
     def test_grh_frozen_example(self):
         # the only prime up to 2 is 2, and (2|7) = +1
-        got = charsums.grh_gauge_max(ps=(7,), xmax=2)
+        got = gauges.grh_gauge_max(ps=(7,), xmax=2)
         want = 1 / (math.sqrt(2) * math.log(14) ** 2)
         assert (got["p"], got["x"]) == (7, 2)
         assert got["ratio"] == pytest.approx(want, abs=1e-12)
         assert got["ratio"] == pytest.approx(0.101, abs=1e-3)
 
     def test_burgess_sane_range(self):
-        got = charsums.burgess_gauge_max(ps=(1009,), rs=(2,), xmax=1000)
+        got = gauges.burgess_gauge_max(ps=(1009,), rs=(2,), xmax=1000)
         assert 0 < got["ratio"] < 1
 
     def test_gauge_max_consistency(self):
         # the scanner's reported max must agree with a pointwise re-evaluation
         # from Legendre symbols, at every x
-        best = charsums.burgess_gauge_max(ps=(101,), rs=(2,), xmax=500)
+        best = gauges.burgess_gauge_max(ps=(101,), rs=(2,), xmax=500)
         partial = np.cumsum([oracle_legendre(m, 101) for m in range(1, 501)])
-        again = [abs(int(partial[x - 1])) / charsums.burgess_envelope(101, x, 2) for x in range(2, 501)]
+        again = [abs(int(partial[x - 1])) / gauges.burgess_envelope(101, x, 2) for x in range(2, 501)]
         assert best["ratio"] == pytest.approx(max(again), abs=1e-12)
         assert best["ratio"] == pytest.approx(again[best["x"] - 2], abs=1e-12)
 
     def test_grh_gauge_max_consistency(self):
-        best = charsums.grh_gauge_max(ps=(101,), xmax=10**4)
+        best = gauges.grh_gauge_max(ps=(101,), xmax=10**4)
         primes = [q for q in range(2, 10**4 + 1) if arith.is_prime(q)]
         partial = np.cumsum([oracle_legendre(q, 101) for q in primes])
         again = {q: abs(int(s)) / grh_envelope(101, q) for q, s in zip(primes, partial)}

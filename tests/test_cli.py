@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -549,6 +550,26 @@ def test_profile_rows_distinct_x(capsys):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(x) for x in range(100, 111)]
 
 
+def test_parse_grid_refuses_past_the_cap_at_once():
+    # 20 723 277 points: making them took 10.9 s before the cap, and profile
+    # then ran for hours
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"cap of {cli.MAX_GRID_POINTS}"):
+        _parse_grid("1:1e9:1.000001")
+    assert time.perf_counter() - t0 < 1.0
+    # the cap counts points before rounding: 1000 pass, 1001 do not
+    assert len(_parse_grid(f"1:{2.0**999}:2")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="1001 points"):
+        _parse_grid(f"1:{2.0**1000}:2")
+
+
+def test_profile_grid_past_the_cap(capsys):
+    code, out, err = run_cli(capsys, "profile", "--p", "7", "--target", "prop42", "--x-grid", "1:1e9:1.000001")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"cap of {cli.MAX_GRID_POINTS}" in err
+
+
 @pytest.mark.parametrize("spec", ["1e2:nan:10", "1e2:inf:10"])
 def test_profile_non_finite_grid(capsys, spec):
     # a usage error: unchecked, NaN gives an empty profile and inf an
@@ -660,7 +681,7 @@ def test_verify_planted_failure(capsys, monkeypatch, suite):
     clean = verify.run_suite(suite)
     assert clean["failures"] == 0
     name, make = _PAST_THRESHOLD[suite]
-    run = verify._SUITES[suite]
+    run = verify.SUITES[suite]
 
     def planted(progress=None):
         # the stand-in only while its own suite runs
@@ -668,7 +689,7 @@ def test_verify_planted_failure(capsys, monkeypatch, suite):
             m.setattr(verify, name, make(getattr(verify, name)))
             return run(progress=progress)
 
-    monkeypatch.setitem(verify._SUITES, suite, planted)
+    monkeypatch.setitem(verify.SUITES, suite, planted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 2
     rep = json.loads(out)

@@ -688,14 +688,14 @@ def _record_rebuilt(monkeypatch) -> list[int]:
 
 def test_cross_check_covers_reported_and_sampled_primes(monkeypatch):
     checked = _record_rebuilt(monkeypatch)
-    search = counting.least_squarefull_pr
+    source, k, search = counting._KINDS["squarefull"]
     searched = []
 
     def scalar(ctx):
         searched.append(ctx.p)
         return search(ctx)
 
-    monkeypatch.setitem(counting._SCALAR, "squarefull", scalar)
+    monkeypatch.setitem(counting._KINDS, "squarefull", (source, k, scalar))
     pairs = hypothesis_scan(_LANE_LIMIT)
     assert searched == checked
     want = {p for p, _ in pairs}

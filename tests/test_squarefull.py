@@ -27,20 +27,25 @@ def oracle_is_squarefull(n):
     return n == 1
 
 
+def squarefull_upto(x):
+    """The square-full m <= x, ascending: the head of the unbounded stream."""
+    return itertools.takewhile(lambda m: m <= x, squarefull.squarefull_stream())
+
+
 class TestEnumeration:
     def test_matches_filter_oracle(self):
-        got = list(squarefull.enumerate_squarefull(10**4))
+        got = list(squarefull_upto(10**4))
         want = [n for n in range(1, 10**4 + 1) if oracle_is_squarefull(n)]
         assert got == want
 
     def test_ascending_no_duplicates(self):
-        seq = list(squarefull.enumerate_squarefull(10**6))
+        seq = list(squarefull_upto(10**6))
         assert all(a < b for a, b in itertools.pairwise(seq))
 
     def test_count_matches_enumeration(self):
         for x in (1, 100, 12345, 10**4, 10**6):
             n = squarefull.squarefull_runs(x)[1].sum()
-            assert n == sum(1 for _ in squarefull.enumerate_squarefull(x))
+            assert n == sum(1 for _ in squarefull_upto(x))
 
     def test_unbounded_stream_prefix(self):
         stream = squarefull.squarefull_stream()
@@ -95,7 +100,7 @@ class TestPrimePowerful:
         assert 32 in vals and 243 in vals and 3125 in vals and 7**5 in vals
 
     def test_subset_of_squarefull(self):
-        sq = set(squarefull.enumerate_squarefull(10**5))
+        sq = set(squarefull_upto(10**5))
         assert set(squarefull.enumerate_prime_powerful(10**5)) <= sq
 
     def test_unique_representation(self):
