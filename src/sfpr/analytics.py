@@ -74,6 +74,7 @@ __all__ = [
     "prime_powerful_main_term",
     "squarefree_pr_main_term",
     "MAIN_TERMS",
+    "CASES",
     "main_term_by_target",
     "corollary_constants",
     "ConstantsReport",
@@ -434,6 +435,8 @@ def squarefull_charsum_main_term(
     """
     if x < 1:
         raise ValueError("need x >= 1")
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
     p = ctx.p
     denom = _squarefull_denominator(p)
     if case == "principal":
@@ -443,13 +446,11 @@ def squarefull_charsum_main_term(
         )
         j = 0
         env = x ** (1.0 / 6.0 + 0.01)
-    elif case == "quadratic":
+    else:
         leading = L_quadratic(ctx).value / denom * math.sqrt(x)
         secondary = 0.0
         j = (p - 1) // 2
         env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
-    else:
-        raise ValueError(f"unknown case {case!r}")
     raw = sum_char_squarefull(ctx, [j], x, route="direct").value[0]
     exact = round(raw.real)
     if abs(raw.real - exact) > 1e-6 or abs(raw.imag) > 1e-9:
@@ -502,6 +503,7 @@ MAIN_TERMS = {
     "thm31": prime_powerful_main_term,
     "prop42": squarefree_pr_main_term,
 }
+CASES = ("principal", "quadratic")  # the characters of lemma22, in the CLI's order
 
 
 def main_term_by_target(

@@ -141,12 +141,8 @@ def sum_char_prime_powerful(
 
 
 def _prime_powerful_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
-    rmax = arith.icbrt(x)
     n = ctx.p - 1
-    primes = arith.sieve_primes(max(math.isqrt(x // 8), rmax, 2))
-    r = primes[: np.searchsorted(primes, rmax, side="right")]
-    qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
-    k = np.searchsorted(primes, qmax, side="right")
-    cum = np.zeros((len(js), len(primes) + 1), dtype=np.complex128)
-    np.cumsum(ctx.values(2 * js % n, primes), axis=1, out=cum[:, 1:])
+    q, r, k = squarefull.prime_powerful_runs(x)
+    cum = np.zeros((len(js), len(q) + 1), dtype=np.complex128)
+    np.cumsum(ctx.values(2 * js % n, q), axis=1, out=cum[:, 1:])
     return (ctx.values(3 * js % n, r) * cum[:, k]).sum(axis=1), int(k.sum())

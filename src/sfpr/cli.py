@@ -25,9 +25,9 @@ from dataclasses import asdict
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .analytics import MAIN_TERMS, constants_report, main_term_by_target
+from .analytics import CASES, MAIN_TERMS, constants_report, main_term_by_target
 from .characters import build_context
-from .counting import FAMILIES, count_by_target, hypothesis_scan, least_csv, scan_range
+from .counting import FAMILIES, METHODS, count_by_target, hypothesis_scan, least_csv, scan_range
 from .verify import SUITES, run_suite
 
 PROG = "sfpr"
@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--target", choices=list(FAMILIES), default="squarefull")
-    sp.add_argument("--method", choices=["brute", "charsum", "both"], default="both")
+    sp.add_argument("--method", choices=METHODS, default="both")
     sp.add_argument("--tolerance", type=float, default=1e-6)
 
     sp = add("least", cmd_least, help="least square-full and square-free primitive roots")
@@ -198,10 +198,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", choices=list(MAIN_TERMS), required=True)
     sp.add_argument("--x-grid", dest="x_grid", default="1e2:1e6:10")
     sp.add_argument(
-        "--method",
-        choices=["principal", "quadratic"],
-        default="principal",
-        help="character case for the lemma22 target",
+        "--method", choices=CASES, default="principal", help="character case for the lemma22 target"
     )
 
     sp = add("verify", cmd_verify, help="run identity suites")

@@ -15,8 +15,8 @@ the family's members up to x congruent to r mod p, is moved onto discrete
 logs, and the length-n DFT of that histogram is S_{chi_j}(x) for every j at
 once. The square-free and square-full histograms come from periodicity mod p
 without visiting the members (O(sqrt(x p)) and O(sqrt(x)) entries); the q^2 r^3
-family, O(sqrt(x)) members, is enumerated. Memory is O(p) beyond the sieve
-tables of sqrt(x) and x^(1/3) entries, and the transform is O(p log p).
+family walks its O(sqrt(x)) members as runs. Memory is O(p) beyond those and
+the sieve tables of sqrt(x) and x^(1/3) entries; the transform is O(p log p).
 Both routes below read the discrete-log table, so count_by_target fetches it
 first: p > characters.MAX_LOG_P is refused before anything of length p or x
 is allocated.
@@ -98,6 +98,7 @@ __all__ = [
     "pr_decomposition",
     "family_charsums",
     "FAMILIES",
+    "METHODS",
     "count_by_target",
     "least_squarefull_pr",
     "least_squarefree_pr",
@@ -201,6 +202,7 @@ FAMILIES = {
     "S": (squarefull.prime_powerful_walk, squarefull.prime_powerful_walk, sum_char_prime_powerful),
     "squarefree": (squarefull.squarefree_walk, _squarefree_histogram, sum_char_squarefree),
 }
+METHODS = ("brute", "charsum", "both")  # the routes of count_by_target, in the CLI's order
 
 
 def _family(target: str) -> tuple:
@@ -218,10 +220,10 @@ def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
     # the table first: it refuses p > MAX_LOG_P before the histogram is built
     ind = ctx.index_table()
     h = _family(target)[1](ctx.p, x)
-    hist = np.zeros(ctx.p - 1)
+    hist = np.zeros(ctx.p - 1, dtype=np.complex128)
     hist[ind[1:]] = h[1:]
-    # unnormalised inverse transform: S[j] = sum_k hist[k] e^{2 pi i jk/n}
-    return np.fft.ifft(hist, norm="forward")
+    # unnormalised inverse transform in place: S[j] = sum_k hist[k] e^{2 pi i jk/n}
+    return np.fft.ifft(hist, norm="forward", out=hist)
 
 
 def _checked_characters(p: int, x: int, target: str) -> list[int]:
@@ -268,7 +270,7 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
     MAX_LOG_P is refused before anything of length p or x is allocated."""
     if x < 1:
         raise ValueError("need x >= 1")
-    if method not in ("brute", "charsum", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx.index_table()
     brute = charsum = residual = None

@@ -25,8 +25,8 @@ __all__ = [
     "squarefree_numbers",
     "squarefull_stream",
     "squarefull_runs",
+    "prime_powerful_runs",
     "squarefree_table",
-    "enumerate_prime_powerful",
     "add_runs",
     *("squarefree_walk", "squarefull_walk", "prime_powerful_walk"),
 ]
@@ -66,34 +66,18 @@ def squarefull_stream() -> Iterator[int]:
 def squarefull_runs(x: int) -> tuple[np.ndarray, np.ndarray]:
     """(b, A): every square-free b <= x^(1/3) and A[i] = isqrt(x // b[i]^3),
     the number of square-full a^2 b[i]^3 <= x."""
-    if x < 1:
-        raise ValueError("need x >= 1")
     b = np.flatnonzero(squarefree_table(arith.icbrt(x)))
     return b, np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
 
 
-def enumerate_prime_powerful(x: int) -> list[int]:
-    """Ascending {q^2 r^3 <= x : q, r prime}; q = r admitted (fifth powers)."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    out = []
+def prime_powerful_runs(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, K): the primes q <= max(sqrt(x/8), x^(1/3), 2), the primes r <= x^(1/3)
+    and K[i] = |{q : q^2 r[i]^3 <= x}|; the members are the runs q[:K[i]]^2 r[i]^3."""
     rmax = arith.icbrt(x)
-    if rmax < 2:
-        return out
-    primes = arith.sieve_primes(max(rmax, math.isqrt(x // 8)))
-    for r in primes:
-        r = int(r)
-        cube = r * r * r
-        if cube > x:
-            break
-        qmax = math.isqrt(x // cube)
-        for q in primes:
-            q = int(q)
-            if q > qmax:
-                break
-            out.append(q * q * cube)
-    out.sort()
-    return out
+    q = arith.sieve_primes(max(math.isqrt(x // 8), rmax, 2))
+    r = q[: np.searchsorted(q, rmax, side="right")]
+    qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
+    return q, r, np.searchsorted(q, qmax, side="right")
 
 
 _RUN_CHUNK = 1 << 20  # entries per vectorised batch of add_runs
@@ -135,5 +119,7 @@ def squarefull_walk(p: int, x: int) -> np.ndarray:
 
 
 def prime_powerful_walk(p: int, x: int) -> np.ndarray:
-    """h[k] = |{m = q^2 r^3 <= x : q, r prime, m = k mod p}|."""
-    return np.bincount(np.array(enumerate_prime_powerful(x), dtype=np.int64) % p, minlength=p)
+    """h[k] = |{m = q^2 r^3 <= x : q, r prime, m = k mod p}|: the runs over q, one bincount."""
+    q, r, k = prime_powerful_runs(x)
+    i = np.arange(int(k.sum()), dtype=np.int64) - np.repeat(np.cumsum(k) - k, k)  # index into q
+    return np.bincount((q**2 % p)[i] * np.repeat(r**3 % p, k) % p, minlength=p)

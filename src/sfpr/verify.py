@@ -99,7 +99,10 @@ def run_constants_suite(progress=None) -> dict:
         ctx = build_context(p)
         rep = compute_Cp(ctx)
         c = shapiro_c(ctx, rep.closed)
-        collapse = abs(c - rep.closed / (zeta(3.0) * (1 + 1 / p + 1 / p**2)))
+        # c by its Euler products and the direct route's L: no division shared with shapiro_c
+        l_direct = zeta(1.5) * (1 - p**-1.5) - rep.direct
+        euler = zeta(1.5) / (zeta(3.0) * (1 + p**-1.5)) - l_direct / (zeta(3.0) * (1 - p**-3.0))
+        collapse = abs(c - (1 - 1 / p) * euler)
         checks += [
             (rep.residual < 1e-8, rep.residual),
             (0.0 < rep.closed < 2.0 * zeta(1.5), 0.0),

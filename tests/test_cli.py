@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sfpr
-from sfpr import arith, cli, verify
+from sfpr import analytics, arith, cli, verify
 from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
 
@@ -224,6 +224,16 @@ def test_count_large_x_charsum_budget(tmp_path, target, x):
     rep = json.loads(out)
     assert rep["characters_used"] == 10
     assert rep["charsum_value"] == pytest.approx(round(rep["charsum_value"]), abs=1e-6)
+    assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
+def test_count_large_x_prime_powerful_brute_budget(tmp_path):
+    # the q^2 r^3 walk folds its runs over q; it builds no list of the
+    # 3.5 million members
+    argv = ["count", "--p", "101", "--x", "10000000000000000", "--target", "S", "--method", "brute"]
+    code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=60)
+    assert code == 0, err
+    assert json.loads(out)["brute_count"] == 3512621
     assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
 
 
@@ -674,6 +684,19 @@ def test_verify_nan_residual_fails(monkeypatch, suite, plant):
     rep = verify.run_suite(suite)
     assert rep["failures"] == 1
     assert math.isnan(rep["max_residual"])
+
+
+def test_verify_constants_catches_a_wrong_collapse(monkeypatch):
+    # shapiro_c divided by zeta(3)(1 + 1/p), without the 1/p^2 term: the
+    # collapse case checks it against the Euler products, which do not share
+    # that denominator, so each of the six primes fails
+    def short(p):
+        return analytics.zeta(3.0) * (1.0 + 1.0 / p)
+
+    monkeypatch.setattr(analytics, "_squarefull_denominator", short)
+    rep = verify.run_suite("constants")
+    assert rep["failures"] == 6
+    assert rep["max_residual"] > 1e-10
 
 
 @pytest.mark.parametrize("suite", sorted(_PAST_THRESHOLD))

@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,22 @@ def test_family_charsums_match_power_oracle():
         ks = np.array([logs[m % 211] for m in oracle_members(target, 5000) if m % 211])
         want = np.exp(2j * np.pi * np.outer(js, ks) / 210).sum(axis=1)
         assert np.allclose(family_charsums(ctx, 5000, target), want, rtol=0, atol=1e-9)
+
+
+def test_family_charsums_transform_in_place():
+    # the spectrum overwrites the complex histogram (16 bytes a residue); a
+    # real histogram transformed into a new array holds the histogram,
+    # numpy's complex copy of it and the spectrum, 48 bytes a residue
+    p = 1048573
+    ctx = build_context(p)
+    ctx.index_table()
+    tracemalloc.start()
+    try:
+        family_charsums(ctx, 10**6, "squarefull")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * p, f"{peak / p:.1f} bytes a residue"
 
 
 def test_family_charsums_rejects_modulus_past_int64_products():

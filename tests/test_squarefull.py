@@ -91,21 +91,43 @@ class TestSquarefreeTable:
         assert both == [1]
 
 
+def prime_powerful_members(x, p):
+    """h[m] = the number of ways m = q^2 r^3 for each m <= x: the walk
+    histogram mod a prime p > x, where each residue is one integer."""
+    assert p > x
+    return squarefull.prime_powerful_walk(p, x)[: x + 1]
+
+
+def oracle_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class TestPrimePowerful:
     def test_frozen_set(self):
-        assert squarefull.enumerate_prime_powerful(1000) == PRIME_POWERFUL_TO_1000
+        assert np.flatnonzero(prime_powerful_members(1000, 1009)).tolist() == PRIME_POWERFUL_TO_1000
 
     def test_fifth_powers_included(self):
-        vals = squarefull.enumerate_prime_powerful(10**5)
-        assert 32 in vals and 243 in vals and 3125 in vals and 7**5 in vals
+        vals = prime_powerful_members(10**5, 100003)
+        assert vals[32] and vals[243] and vals[3125] and vals[7**5]
 
     def test_subset_of_squarefull(self):
         sq = set(squarefull_upto(10**5))
-        assert set(squarefull.enumerate_prime_powerful(10**5)) <= sq
+        assert set(np.flatnonzero(prime_powerful_members(10**5, 100003)).tolist()) <= sq
 
     def test_unique_representation(self):
-        vals = squarefull.enumerate_prime_powerful(10**6)
-        assert len(vals) == len(set(vals))
+        assert prime_powerful_members(10**6, 1000003).max() == 1
 
     def test_empty_below_32(self):
-        assert squarefull.enumerate_prime_powerful(31) == []
+        assert not prime_powerful_members(31, 37).any()
+
+    def test_runs_match_brute_oracle(self):
+        primes = [n for n in range(2, 2001) if oracle_is_prime(n)]
+        members = sorted(a * a * v**3 for v in primes for a in primes if a * a * v**3 <= 2000)
+        for x in range(1, 2001):
+            q, r, k = squarefull.prime_powerful_runs(x)
+            cbrt = max(c for c in range(1, 13) if c**3 <= x)
+            assert q.tolist() == [n for n in primes if n <= max(math.isqrt(x // 8), cbrt, 2)], x
+            assert r.tolist() == [n for n in primes if n**3 <= x], x
+            assert k.tolist() == [sum(n * n * v**3 <= x for n in primes) for v in r.tolist()], x
+            runs = sorted(int(a) ** 2 * int(v) ** 3 for v, c in zip(r, k) for a in q[:c])
+            assert runs == [m for m in members if m <= x], x
