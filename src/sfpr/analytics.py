@@ -1,9 +1,7 @@
 """Analytic constants and main terms, with certified truncations.
 
-zeta(s) is the Hurwitz zeta function at q = 1, by the same Euler-Maclaurin
-sum as the direct C_p route below; it holds for every s > 0, s != 1, and
-passes through s = 2/3 without special handling. At the four arguments the
-constants use (2/3, 3/2, 2, 3) it returns correctly rounded values instead.
+zeta(s) is a table of the four arguments the constants use (2/3, 3/2, 2,
+3), correctly rounded; any other argument raises ValueError.
 
 The leading constant
 
@@ -62,6 +60,7 @@ __all__ = [
     "SeriesValue",
     "L_quadratic",
     "CpReport",
+    "CP_TOLERANCE",
     "compute_Cp",
     "cp_lower_ratio",
     "cp_ratio_sweep",
@@ -91,15 +90,12 @@ _ZETA_TABLE = {
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for s > 0, s != 1, to ~2e-15 relative; correctly rounded
-    at the arguments of _ZETA_TABLE."""
-    if s in _ZETA_TABLE:
+    """Riemann zeta at an argument of _ZETA_TABLE, correctly rounded; any
+    other s raises ValueError."""
+    try:
         return _ZETA_TABLE[s]
-    if s == 1:
-        raise ValueError("pole at s = 1")
-    if s <= 0:
-        raise ValueError("need s > 0")
-    return float(_hurwitz_zeta(s, 1.0)[0])
+    except KeyError:
+        raise ValueError(f"zeta is tabulated only at {tuple(_ZETA_TABLE)}, got {s}") from None
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
         raise ArithmeticError(f"L(3/2, chi2) tail bound never reached {tol} at p={p}")
     terms = int(fits[0]) + 1
     n, x = n[:terms], x[:terms]
-    chi = ctx.qr_signs()[np.arange(1, terms + 1) % p].astype(np.float64)
+    chi = ctx.qr_signs[np.arange(1, terms + 1) % p].astype(np.float64)
     # one incomplete gamma gives both: Gamma(a1, x) = a2 Gamma(a2, x) + x^a2 e^{-x},
     # taken upward from a2 = 1/4, or downward to a2 = -1/4 as the reverse step
     power = x**a2 * np.exp(-x)
@@ -263,7 +259,7 @@ def _cp_direct(ctx: PrimeContext) -> tuple[float, float, int]:
     value, the bound on its Euler-Maclaurin remainders, and the number of
     classes."""
     p = ctx.p
-    nonres = np.flatnonzero(ctx.qr_signs() < 0)
+    nonres = np.flatnonzero(ctx.qr_signs < 0)
     values, remainders = _hurwitz_zeta(1.5, nonres / p)
     scale = 2.0 * p**-1.5
     return scale * float(np.sum(values)), scale * float(np.sum(remainders)), nonres.size
@@ -275,7 +271,11 @@ def _cp_closed(ctx: PrimeContext, tol: float = _L_TOL) -> tuple[float, SeriesVal
     return zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value, lval
 
 
-def compute_Cp(ctx: PrimeContext, tol: float = 1e-8) -> CpReport:
+# the default agreement tolerance of the two C_p routes, beyond their certificates
+CP_TOLERANCE = 1e-8
+
+
+def compute_Cp(ctx: PrimeContext, tol: float = CP_TOLERANCE) -> CpReport:
     """Both routes to C_p; raises if they disagree beyond their combined
     certificates plus tol, which must be positive and finite (an infinite
     one would switch the comparison off)."""
@@ -325,11 +325,9 @@ def _squarefull_denominator(p: int) -> float:  # shapiro_c and the square-full m
     return zeta(3.0) * (1.0 + 1.0 / p + 1.0 / p**2)
 
 
-def shapiro_c(ctx: PrimeContext, cp: float | None = None) -> float:
+def shapiro_c(ctx: PrimeContext, cp: float) -> float:
     """2(1-1/p) sum over square-free non-residues of n^{-3/2}, via the
-    exact collapse to C_p / (zeta(3)(1+1/p+1/p^2))."""
-    if cp is None:
-        cp = _cp_closed(ctx)[0]
+    exact collapse of C_p = cp to cp / (zeta(3)(1+1/p+1/p^2))."""
     return cp / _squarefull_denominator(ctx.p)
 
 
@@ -424,9 +422,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     return MainTermBreakdown(p, x, "thm1", leading, 0.0, _pr_density(ctx), exact, env)
 
 
-def squarefull_charsum_main_term(
-    ctx: PrimeContext, x: int, case: str = "principal"
-) -> MainTermBreakdown:
+def squarefull_charsum_main_term(ctx: PrimeContext, x: int, case: str) -> MainTermBreakdown:
     """Predicted vs exact square-full character sum, principal or
     quadratic character.
 
@@ -439,18 +435,18 @@ def squarefull_charsum_main_term(
         raise ValueError(f"unknown case {case!r}")
     p = ctx.p
     denom = _squarefull_denominator(p)
-    if case == "principal":
+    if case == "quadratic":
+        leading = L_quadratic(ctx).value / denom * math.sqrt(x)
+        secondary = 0.0
+        j = (p - 1) // 2
+        env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
+    else:
         leading = zeta(1.5) * (1.0 - p**-1.5) / denom * math.sqrt(x)
         secondary = (
             zeta(2.0 / 3.0) / zeta(2.0) * (1.0 - p ** (-2.0 / 3.0)) / (1.0 + 1.0 / p) * x ** (1.0 / 3.0)
         )
         j = 0
         env = x ** (1.0 / 6.0 + 0.01)
-    else:
-        leading = L_quadratic(ctx).value / denom * math.sqrt(x)
-        secondary = 0.0
-        j = (p - 1) // 2
-        env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
     raw = sum_char_squarefull(ctx, [j], x, route="direct").value[0]
     exact = round(raw.real)
     if abs(raw.real - exact) > 1e-6 or abs(raw.imag) > 1e-9:
@@ -467,7 +463,7 @@ def prime_powerful_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     """
     if x < 8:
         raise ValueError("need x >= 8")
-    signs = ctx.qr_signs()
+    signs = ctx.qr_signs
     leading = 0.0
     rx = math.sqrt(x)
     for r in arith.sieve_primes(arith.icbrt(x)):
@@ -507,13 +503,13 @@ CASES = ("principal", "quadratic")  # the characters of lemma22, in the CLI's or
 
 
 def main_term_by_target(
-    ctx: PrimeContext, x: int, target: str, case: str = "principal"
+    ctx: PrimeContext, x: int, target: str, case: str = CASES[0]
 ) -> MainTermBreakdown:
     if target not in MAIN_TERMS:
         raise ValueError(f"unknown target {target!r}")
     # every target counts through discrete logs: past MAX_LOG_P this raises
     # before any main term is computed
-    ctx.index_table()
+    ctx.index_table
     fn = MAIN_TERMS[target]
     return fn(ctx, x, case) if target == "lemma22" else fn(ctx, x)
 
@@ -544,7 +540,7 @@ class ConstantsReport:
     l_tail_bound: float
 
 
-def constants_report(ctx: PrimeContext, tol: float = 1e-8) -> ConstantsReport:
+def constants_report(ctx: PrimeContext, tol: float = CP_TOLERANCE) -> ConstantsReport:
     rep = compute_Cp(ctx, tol)
     return ConstantsReport(
         p=ctx.p,

@@ -216,17 +216,15 @@ def is_primitive_root(a: int, p: int, qs) -> bool:
     return True
 
 
-def least_primitive_root(p: int, qs=None) -> int:
-    """g(p), the smallest positive primitive root. qs, when given, are the
-    distinct primes of p - 1, which is then not factored again; a qs with a
-    q < 2, a q not dividing p - 1, or missing a prime of p - 1 is refused
-    (none is missing exactly when p - 1 divides prod(qs)^k, k >= log2(p))."""
+def least_primitive_root(p: int, qs) -> int:
+    """g(p), the smallest positive primitive root; qs are the distinct primes
+    of p - 1, which is not factored here. A qs with a q < 2, a q not dividing
+    p - 1, or missing a prime of p - 1 is refused (none is missing exactly
+    when p - 1 divides prod(qs)^k, k >= log2(p))."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("modulus must be an odd prime")
     n = p - 1
-    if qs is None:
-        qs = [q for q, _ in factorize(n)]
-    elif any(q < 2 or n % q for q in qs) or pow(math.prod(qs), n.bit_length(), n):
+    if any(q < 2 or n % q for q in qs) or pow(math.prod(qs), n.bit_length(), n):
         raise ValueError(f"primes {tuple(qs)} given are not those of p - 1 = {n}")
     a = 2
     while not is_primitive_root(a, p, qs):

@@ -12,9 +12,10 @@ about sqrt(p) consecutive powers of the generator, for every p up to
 MAX_LOG_P = 2^22. The bound is a memory budget: a count at the largest prime
 below it holds the table, the primitive-root table and the family's FFT in
 well under 1 GB. Above it index_table raises ValueError, and the value and
-primitive-root tables fetch the index table before allocating their own. The
-table is built lazily; a context stays lightweight until something asks for
-an index. The Legendre-symbol table needs no logs and serves p up to
+primitive-root tables fetch the index table before allocating their own.
+Every table is a cached property, built on its first read; a context stays
+lightweight until something asks for one. The Legendre-symbol table needs no
+logs and serves p up to
 MAX_QR_P = 2^24, where the constants report built on it peaks under 1 GB;
 above it qr_signs raises ValueError before allocating anything.
 
@@ -30,8 +31,9 @@ p = 99991, on 2 cores), about 11% more time for `sfpr verify`.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,20 +48,16 @@ MAX_QR_P = 1 << 24
 @dataclass(eq=False)
 class PrimeContext:
     """Fixed data for one modulus: p, a generator, the distinct primes of
-    p-1 (ascending), and lazily-built discrete-log, root-of-unity and
-    residue tables."""
+    p-1 (ascending), and the discrete-log, root-of-unity and residue tables
+    built from them on first read."""
 
     p: int
     generator: int
     p1_primes: tuple[int, ...]
 
-    _index_table: np.ndarray | None = field(default=None, repr=False)
-    _roots: np.ndarray | None = field(default=None, repr=False)
-    _qr_signs: np.ndarray | None = field(default=None, repr=False)
-    _is_pr: np.ndarray | None = field(default=None, repr=False)
-
     # -- discrete logarithm -------------------------------------------------
 
+    @functools.cached_property
     def index_table(self) -> np.ndarray:
         """ind[r] = k with generator^k = r (mod p), 0 <= k <= p-2, for
         residues r in [1, p-1], and ind[0] = 0. Raises ValueError for p >
@@ -68,44 +66,42 @@ class PrimeContext:
             raise ValueError(
                 f"discrete logs need p <= MAX_LOG_P = {MAX_LOG_P} (1 GB budget), got {self.p}"
             )
-        if self._index_table is None:
-            # blocks of span = isqrt(p-1)+1 consecutive powers: block i is
-            # g^(i span) * (g^0 .. g^(span-1)) mod p, one numpy product each;
-            # the products stay below p^2 < 2^63
-            p, g, n = self.p, self.generator, self.p - 1
-            span = math.isqrt(n) + 1
-            powers = np.empty(span, dtype=np.int64)
-            v = 1
-            for k in range(span):
-                powers[k] = v
-                v = v * g % p
-            ks = np.arange(span, dtype=np.int64)
-            table = np.zeros(p, dtype=np.int64)
-            lead = 1
-            for start in range(0, n, span):
-                m = min(span, n - start)
-                table[powers[:m] * lead % p] = ks[:m] + start
-                lead = lead * v % p
-            self._index_table = table
-        return self._index_table
+        # blocks of span = isqrt(p-1)+1 consecutive powers: block i is
+        # g^(i span) * (g^0 .. g^(span-1)) mod p, one numpy product each;
+        # the products stay below p^2 < 2^63
+        p, g, n = self.p, self.generator, self.p - 1
+        span = math.isqrt(n) + 1
+        powers = np.empty(span, dtype=np.int64)
+        v = 1
+        for k in range(span):
+            powers[k] = v
+            v = v * g % p
+        ks = np.arange(span, dtype=np.int64)
+        table = np.zeros(p, dtype=np.int64)
+        lead = 1
+        for start in range(0, n, span):
+            m = min(span, n - start)
+            table[powers[:m] * lead % p] = ks[:m] + start
+            lead = lead * v % p
+        return table
 
     # -- tables and character values -----------------------------------------
 
+    @functools.cached_property
     def roots_of_unity(self) -> np.ndarray:
         """exp(2 pi i k/(p-1)) for k in [0, p-2]."""
-        if self._roots is None:
-            n = self.p - 1
-            self._roots = np.exp(2j * np.pi * np.arange(n) / n)
-        return self._roots
+        n = self.p - 1
+        return np.exp(2j * np.pi * np.arange(n) / n)
 
     def values(self, js, ms) -> np.ndarray:
         """chi_j(m) for j in js (rows) and m in ms (columns), 0 where p | m."""
         r = np.asarray(ms, dtype=np.int64) % self.p
-        idx = np.multiply.outer(np.asarray(js, dtype=np.int64), self.index_table()[r])
-        vals = self.roots_of_unity()[np.remainder(idx, self.p - 1, out=idx)]
+        idx = np.multiply.outer(np.asarray(js, dtype=np.int64), self.index_table[r])
+        vals = self.roots_of_unity[np.remainder(idx, self.p - 1, out=idx)]
         vals[:, np.flatnonzero(r == 0)] = 0
         return vals
 
+    @functools.cached_property
     def qr_signs(self) -> np.ndarray:
         """Legendre-symbol table over residues as int8; built from squares,
         independent of the discrete log. The squares of 1..(p-1)/2 are
@@ -115,27 +111,24 @@ class PrimeContext:
             raise ValueError(
                 f"residue tables need p <= MAX_QR_P = {MAX_QR_P} (1 GB budget), got {self.p}"
             )
-        if self._qr_signs is None:
-            p = self.p
-            k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-            signs = np.full(p, -1, dtype=np.int8)
-            signs[0] = 0
-            signs[k * k % p] = 1
-            self._qr_signs = signs
-        return self._qr_signs
+        p = self.p
+        k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+        signs = np.full(p, -1, dtype=np.int8)
+        signs[0] = 0
+        signs[k * k % p] = 1
+        return signs
 
+    @functools.cached_property
     def is_pr_table(self) -> np.ndarray:
         """Boolean table over residues: is a primitive root."""
-        if self._is_pr is None:
-            idx = self.index_table()
-            n = self.p - 1
-            coprime = np.ones(n, dtype=bool)
-            for q in self.p1_primes:
-                coprime[::q] = False
-            table = np.zeros(self.p, dtype=bool)
-            table[1:] = coprime[idx[1:]]
-            self._is_pr = table
-        return self._is_pr
+        idx = self.index_table
+        n = self.p - 1
+        coprime = np.ones(n, dtype=bool)
+        for q in self.p1_primes:
+            coprime[::q] = False
+        table = np.zeros(self.p, dtype=bool)
+        table[1:] = coprime[idx[1:]]
+        return table
 
 
 def build_context(p: int) -> PrimeContext:

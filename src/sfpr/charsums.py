@@ -66,8 +66,8 @@ def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.nd
     xs = np.asarray(xs, dtype=np.int64)
     span = min(int(xs.max(initial=0)) + 1, p)
     q, r = np.divmod(xs, p)
-    ind = ctx.index_table()[:span]
-    roots = ctx.roots_of_unity()
+    ind = ctx.index_table[:span]
+    roots = ctx.roots_of_unity
     rows = max(1, min(len(js), p // span))
     idx = np.empty((rows, span), dtype=np.int64)
     pre = np.empty((rows, span), dtype=np.complex128)
@@ -90,7 +90,7 @@ def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
     one."""
     if x < 1:
         raise ValueError("need x >= 1")
-    ctx.index_table()  # refuses p > MAX_LOG_P before anything of length x
+    ctx.index_table  # refuses p > MAX_LOG_P before anything of length x
     js = np.asarray(js, dtype=np.int64)
     if route == "direct":
         h = walk(ctx.p, x)
@@ -104,9 +104,7 @@ def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
     return SumResult(values, terms * len(js))
 
 
-def sum_char_squarefull(
-    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
-) -> SumResult:
+def sum_char_squarefull(ctx: PrimeContext, js: Sequence[int], x: int, route: str) -> SumResult:
     """sum of chi_j(m) over square-full m <= x, for j in js."""
     return _restricted_sum(ctx, js, x, route, squarefull.squarefull_walk, _squarefull_factored)
 
@@ -118,9 +116,7 @@ def _squarefull_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.
     return (outer * _interval_values(ctx, 2 * js % n, amax)).sum(axis=1), int(amax.sum())
 
 
-def sum_char_squarefree(
-    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
-) -> SumResult:
+def sum_char_squarefree(ctx: PrimeContext, js: Sequence[int], x: int, route: str) -> SumResult:
     """sum of chi_j(m) over square-free m <= x, for j in js."""
     return _restricted_sum(ctx, js, x, route, squarefull.squarefree_walk, _squarefree_factored)
 
@@ -133,9 +129,7 @@ def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.
     return (outer * _interval_values(ctx, js, inner_x)).sum(axis=1), int(inner_x.sum())
 
 
-def sum_char_prime_powerful(
-    ctx: PrimeContext, js: Sequence[int], x: int, route: str = "factored"
-) -> SumResult:
+def sum_char_prime_powerful(ctx: PrimeContext, js: Sequence[int], x: int, route: str) -> SumResult:
     """sum of chi_j(m) over m = q^2 r^3 <= x, q and r prime, for j in js."""
     return _restricted_sum(ctx, js, x, route, squarefull.prime_powerful_walk, _prime_powerful_factored)
 

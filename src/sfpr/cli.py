@@ -25,7 +25,7 @@ from dataclasses import asdict
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .analytics import CASES, MAIN_TERMS, constants_report, main_term_by_target
+from .analytics import CASES, CP_TOLERANCE, MAIN_TERMS, constants_report, main_term_by_target
 from .characters import build_context
 from .counting import FAMILIES, METHODS, count_by_target, hypothesis_scan, least_csv, scan_range
 from .verify import SUITES, run_suite
@@ -191,14 +191,14 @@ def build_parser() -> _Parser:
 
     sp = add("constants", cmd_constants, help="analytic constants report for one prime")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--tolerance", type=float, default=1e-8)
+    sp.add_argument("--tolerance", type=float, default=CP_TOLERANCE)
 
     sp = add("profile", cmd_profile, help="main-term error profile over an x grid")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--target", choices=list(MAIN_TERMS), required=True)
     sp.add_argument("--x-grid", dest="x_grid", default="1e2:1e6:10")
     sp.add_argument(
-        "--method", choices=CASES, default="principal", help="character case for the lemma22 target"
+        "--method", choices=CASES, default=CASES[0], help="character case for the lemma22 target"
     )
 
     sp = add("verify", cmd_verify, help="run identity suites")

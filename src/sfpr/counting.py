@@ -218,7 +218,7 @@ def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
     if x < 1:
         raise ValueError("need x >= 1")
     # the table first: it refuses p > MAX_LOG_P before the histogram is built
-    ind = ctx.index_table()
+    ind = ctx.index_table
     h = _family(target)[1](ctx.p, x)
     hist = np.zeros(ctx.p - 1, dtype=np.complex128)
     hist[ind[1:]] = h[1:]
@@ -260,7 +260,7 @@ def _charsum_count(ctx: PrimeContext, x: int, target: str) -> tuple[float, int]:
 
 
 def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
-    return int(_family(target)[0](ctx.p, x)[ctx.is_pr_table()].sum())
+    return int(_family(target)[0](ctx.p, x)[ctx.is_pr_table].sum())
 
 
 def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:
@@ -272,7 +272,7 @@ def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both"
         raise ValueError("need x >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    ctx.index_table()
+    ctx.index_table  # refuses p > MAX_LOG_P before anything of length p or x
     brute = charsum = residual = None
     tb = tc = None
     chars = 0

@@ -15,6 +15,7 @@ from . import arith
 from .characters import build_context
 from .counting import FAMILIES, count_by_target
 from .analytics import (
+    CP_TOLERANCE,
     compute_Cp,
     corollary_constants,
     cp_lower_ratio,
@@ -104,7 +105,7 @@ def run_constants_suite(progress=None) -> dict:
         euler = zeta(1.5) / (zeta(3.0) * (1 + p**-1.5)) - l_direct / (zeta(3.0) * (1 - p**-3.0))
         collapse = abs(c - (1 - 1 / p) * euler)
         checks += [
-            (rep.residual < 1e-8, rep.residual),
+            (rep.residual < CP_TOLERANCE, rep.residual),
             (0.0 < rep.closed < 2.0 * zeta(1.5), 0.0),
             (collapse < 1e-10, collapse),
             (c <= rep.closed, 0.0),

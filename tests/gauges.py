@@ -30,7 +30,7 @@ def burgess_gauge_max(
     best = {"ratio": -1.0}
     for p in ps:
         ctx = build_context(p)
-        signs = ctx.qr_signs()
+        signs = ctx.qr_signs
         x = np.arange(1, xmax + 1, dtype=np.int64)
         partial = np.cumsum(signs[x % p].astype(np.int64))
         absS = np.abs(partial[1:]).astype(np.float64)  # x >= 2
@@ -54,7 +54,7 @@ def grh_gauge_max(ps: tuple[int, ...] = (101, 1009, 10007), xmax: int = 10**7) -
     best = {"ratio": -1.0}
     for p in ps:
         ctx = build_context(p)
-        signs = ctx.qr_signs()
+        signs = ctx.qr_signs
         partial = np.cumsum(signs[primes % p].astype(np.int64))
         xs = primes.astype(np.float64)
         ratios = np.abs(partial) / (np.sqrt(xs) * np.log(p * xs) ** 2)

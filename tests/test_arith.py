@@ -157,12 +157,12 @@ class TestFactorize:
         )
 
     def test_primes_computed_once(self, monkeypatch):
-        # the primes are read off the pairs once; given to
-        # least_primitive_root, p - 1 is not factored again
+        # the primes are read off the pairs once; least_primitive_root takes
+        # them and factors nothing (23 is g(1052041) by the order oracle)
         assert primes_of(2**4 * 3 * 101) == (2, 3, 101)
-        qs, g = primes_of(1052040), arith.least_primitive_root(1052041)
+        qs = primes_of(1052040)
         monkeypatch.setattr(arith, "factorize", None)
-        assert arith.least_primitive_root(1052041, qs) == g
+        assert arith.least_primitive_root(1052041, qs) == 23
 
     def test_one(self):
         assert arith.factorize(1) == ()
@@ -272,25 +272,28 @@ class TestLegendre:
 
 class TestPrimitiveRoots:
     def test_least_frozen(self):
-        assert arith.least_primitive_root(3) == 2
-        assert arith.least_primitive_root(5) == 2
-        assert arith.least_primitive_root(7) == 3
-        assert arith.least_primitive_root(41) == 6
+        assert arith.least_primitive_root(3, (2,)) == 2
+        assert arith.least_primitive_root(5, (2,)) == 2
+        assert arith.least_primitive_root(7, (2, 3)) == 3
+        assert arith.least_primitive_root(41, (2, 5)) == 6
 
     def test_least_against_order_oracle(self):
         for p in (3, 5, 7, 11, 13, 41, 101):
             want = next(a for a in range(2, p) if oracle_order(a, p) == p - 1)
-            assert arith.least_primitive_root(p) == want
+            assert arith.least_primitive_root(p, primes_of(p - 1)) == want
 
     def test_rejects_bad_modulus(self):
         for p in (2, 4, 9, 1):
             with pytest.raises(ValueError):
-                arith.least_primitive_root(p)
+                arith.least_primitive_root(p, ())
 
     def test_least_with_given_factorization(self):
+        # the primes of p - 1 from the trial-division oracle, and g(p) as the
+        # least a with a^((p-1)/q) != 1 for each of them
         for p in (3, 7, 41, 1052041):
-            given = primes_of(p - 1)
-            assert arith.least_primitive_root(p, given) == arith.least_primitive_root(p)
+            given = tuple(q for q, _ in oracle_trial_factor(p - 1))
+            want = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in given))
+            assert arith.least_primitive_root(p, given) == want
 
     def test_least_rejects_wrong_factorization(self):
         with pytest.raises(ValueError):

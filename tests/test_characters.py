@@ -2,6 +2,7 @@
 character values by index, order classes, orthogonality."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, characters
-from sfpr.characters import build_context
+from sfpr.characters import PrimeContext, build_context
 
 
 def oracle_legendre(a, p):
@@ -60,6 +61,17 @@ class TestContext:
         assert ctx.generator == 3
         assert ctx.p1_primes == (2, 3)
 
+    def test_fields_are_the_modulus_data(self):
+        assert [f.name for f in dataclasses.fields(PrimeContext)] == ["p", "generator", "p1_primes"]
+
+    def test_tables_built_on_first_read_and_kept(self):
+        ctx = build_context(101)
+        assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
+        for name in ("index_table", "roots_of_unity", "qr_signs", "is_pr_table"):
+            table = getattr(ctx, name)
+            assert isinstance(table, np.ndarray)
+            assert getattr(ctx, name) is table
+
     def test_rejects_non_prime(self):
         for p in (1, 2, 4, 9, 1052040):
             with pytest.raises(ValueError):
@@ -84,7 +96,7 @@ class TestContext:
 
     def test_index_roundtrip(self):
         ctx = build_context(101)
-        ind = ctx.index_table()
+        ind = ctx.index_table
         for m in range(1, 101):
             assert pow(ctx.generator, int(ind[m]), 101) == m
         assert ind[1] == 0
@@ -93,7 +105,7 @@ class TestContext:
     @pytest.mark.parametrize("p", [3, 101, 211, 1009])
     def test_index_matches_powers(self, p):
         ctx = build_context(p)
-        ind = ctx.index_table()
+        ind = ctx.index_table
         for k in range(p - 1):
             assert ind[pow(ctx.generator, k, p)] == k
             assert ind[(pow(ctx.generator, k, p) + 7 * p) % p] == k
@@ -102,7 +114,7 @@ class TestContext:
         for p in arith.sieve_primes(4999)[1:]:
             p = int(p)
             ctx = build_context(p)
-            ind = ctx.index_table()
+            ind = ctx.index_table
             assert ind[0] == 0
             assert sorted(ind[1:].tolist()) == list(range(p - 1))
             powers = [pow(ctx.generator, k, p) for k in range(p - 1)]
@@ -114,7 +126,7 @@ class TestContext:
         # block is partial
         assert (p - 1) % (math.isqrt(p - 1) + 1) != 0
         ctx = build_context(p)
-        ind = ctx.index_table()
+        ind = ctx.index_table
         assert np.array_equal(np.sort(ind[1:]), np.arange(p - 1))
         rng = random.Random(1048573)
         for k in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(997)]:
@@ -122,27 +134,28 @@ class TestContext:
 
     def test_index_tiny_modulus(self):
         ctx = build_context(3)
-        assert ctx.index_table().tolist() == [0, 0, 1]
+        assert ctx.index_table.tolist() == [0, 0, 1]
 
     def test_index_table_refused_past_max_log_p(self):
         # 4194319 is the first prime past 2^22
         ctx = build_context(4194319)
         assert ctx.p > characters.MAX_LOG_P
-        for read in (ctx.index_table, ctx.is_pr_table, lambda: ctx.values([1], [2])):
+        # lambdas, so each read runs inside pytest.raises
+        for read in (lambda: ctx.index_table, lambda: ctx.is_pr_table, lambda: ctx.values([1], [2])):
             with pytest.raises(ValueError, match=f"MAX_LOG_P = {characters.MAX_LOG_P}"):
                 read()
-        assert ctx._index_table is None and ctx._roots is None
+        assert not {"index_table", "roots_of_unity", "is_pr_table"} & set(vars(ctx))
 
     def test_is_pr_table(self):
         ctx = build_context(13)
-        table = ctx.is_pr_table()
+        table = ctx.is_pr_table
         want = {a for a in range(1, 13) if brute_order(a, 13) == 12}
         assert {a for a in range(13) if table[a]} == want
 
     def test_qr_signs_match_legendre(self):
         for p in (7, 11, 101):
             ctx = build_context(p)
-            signs = ctx.qr_signs()
+            signs = ctx.qr_signs
             for a in range(p):
                 assert int(signs[a]) == oracle_legendre(a, p)
 

@@ -200,6 +200,12 @@ def test_count_past_max_log_p_fails_fast(tmp_path):
     assert MAX_LOG_P == 1 << 22
     for method in ("both", "brute", "charsum"):
         _assert_fails_fast(tmp_path, ["count", "--p", "4194319", "--x", "100", "--method", method])
+    # the refusal comes before the walk, which would first allocate a table
+    # of x + 1 = 1e9 entries
+    _assert_fails_fast(
+        tmp_path,
+        ["count", "--p", "4194319", "--x", "1000000000", "--target", "squarefree", "--method", "brute"],
+    )
     code, out, err, _, _ = run_measured(tmp_path, ["least", "--p", "4194319"], timeout=60)
     assert code == 0, err
     assert out.splitlines()[1].startswith("4194319,")

@@ -131,7 +131,7 @@ def indicator(ctx, m):
     n = ctx.p - 1
     w = pr_decomposition(ctx)
     js = np.flatnonzero(w)
-    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index_table()[m % ctx.p] % n) / n))
+    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index_table[m % ctx.p] % n) / n))
     return float(total.real) * arith.euler_phi(n) / n
 
 
@@ -267,7 +267,7 @@ def test_family_charsums_transform_in_place():
     # numpy's complex copy of it and the spectrum, 48 bytes a residue
     p = 1048573
     ctx = build_context(p)
-    ctx.index_table()
+    ctx.index_table
     tracemalloc.start()
     try:
         family_charsums(ctx, 10**6, "squarefull")
