@@ -87,9 +87,9 @@ def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.nd
 def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
     """The restricted sums of chi_j for j in js by the direct route (the
     walk histogram dotted with each character's values) or the factored
-    one."""
-    if x < 1:
-        raise ValueError("need x >= 1")
+    one; x >= 2^63 is refused before anything is allocated."""
+    if not 1 <= x < 1 << 63:
+        raise ValueError("need 1 <= x < 2^63")
     ctx.index_table  # refuses p > MAX_LOG_P before anything of length x
     js = np.asarray(js, dtype=np.int64)
     if route == "direct":

@@ -6,17 +6,18 @@ The exact decomposition over character order classes,
 
 n = p-1 and S_chi the character sum over the target family, turns each count
 into a finite character-sum evaluation. Only square-free d survive, so the
-identity is a weight vector over the characters chi_j: w[j] = mu(d)/phi(d)
-where the order d of chi_j is square-free and 0 elsewhere (pr_decomposition),
-with rad(n) nonzero entries, and N(x) = (phi(n)/n) * (w . S).
+identity is a weight vector over the R = rad(n) characters chi_j, j = (n/R) k
+for k in [0, R), those of square-free order d = R/gcd(k, R): w[k] =
+mu(d)/phi(d) (pr_decomposition), and N(x) = (phi(n)/n) * (w . S).
 
 All the S_chi come from one transform (family_charsums): h[r], the number of
-the family's members up to x congruent to r mod p, is moved onto discrete
-logs, and the length-n DFT of that histogram is S_{chi_j}(x) for every j at
-once. The square-free and square-full histograms come from periodicity mod p
-without visiting the members (O(sqrt(x p)) and O(sqrt(x)) entries); the q^2 r^3
-family walks its O(sqrt(x)) members as runs. Memory is O(p) beyond those and
-the sieve tables of sqrt(x) and x^(1/3) entries; the transform is O(p log p).
+the family's members up to x congruent to r mod p, is folded onto discrete
+logs mod R, since chi_j(m) = e(k ind(m)/R), and its length-R DFT is every
+S_{chi_j}(x) at once. The square-free and square-full histograms come from
+periodicity mod p without visiting the members (O(sqrt(x p)) and O(sqrt(x))
+entries); the q^2 r^3 family walks its O(sqrt(x)) members as runs. Memory is
+O(p) beyond those and the sieve tables of sqrt(x) and x^(1/3) entries; the
+transform is O(R log R).
 Both routes below read the discrete-log table, so count_by_target fetches it
 first: p > characters.MAX_LOG_P is refused before anything of length p or x
 is allocated.
@@ -25,9 +26,9 @@ Two independent routes keep every count an executable identity. The brute
 route walks the members (the walk histograms of sfpr.squarefull) and adds
 the counts of the residue classes that are primitive roots. The FFT spectrum
 is checked against the factored sums of charsums, in one batched call, on a
-fixed sample of characters: the principal one, the quadratic one and
-CHECK_SAMPLE more drawn by a random.Random seeded from (p, x, target), or
-every character when p - 1 <= CHECK_SAMPLE + 2. A relative mismatch of
+fixed sample of its R characters: the principal one (k = 0), the quadratic
+one (k = R/2) and CHECK_SAMPLE more drawn by a random.Random seeded from (p,
+x, target), or all R when R <= CHECK_SAMPLE + 2. A relative mismatch of
 CHECK_RTOL or more raises ArithmeticError.
 
 Each least element is the first primitive root along a fixed ascending list
@@ -116,18 +117,17 @@ CROSS_CHECK_SAMPLE = 32
 
 
 def pr_decomposition(ctx: PrimeContext) -> np.ndarray:
-    """Weights w[j], j in [0, p-2], of the primitive-root indicator
-    (phi(n)/n) sum_j w[j] chi_j(m): mu(d)/phi(d) for chi_j of square-free
-    order d, 0 otherwise."""
-    n = ctx.p - 1
+    """Weights w[k] = mu(d)/phi(d), k in [0, R), R = rad(n), n = p - 1, of
+    the primitive-root indicator (phi(n)/n) sum_k w[k] chi_{(n/R) k}(m): the
+    characters of square-free order d = R/gcd(k, R), the only ones weighed."""
     # the square-free d | n with mu(d) and phi(d), one prime of n at a time
     terms = [(1, 1, 1)]
     for q in ctx.p1_primes:
         terms += [(d * q, -mu, phi * (q - 1)) for d, mu, phi in terms]
-    by_gcd = np.zeros(n + 1)  # chi_j has order n / gcd(j, n)
-    for d, mu, phi in terms:
-        by_gcd[n // d] = mu / phi
-    return by_gcd[np.gcd(np.arange(n, dtype=np.int64), n)]
+    at = np.full(terms[-1][0], len(terms) - 1)  # d's place in terms: bit i if prime i divides d
+    for i, q in enumerate(ctx.p1_primes):
+        at[::q] -= 1 << i
+    return np.array([mu / phi for _, mu, phi in terms])[at]
 
 
 @dataclass(frozen=True)
@@ -213,33 +213,34 @@ def _family(target: str) -> tuple:
 
 
 def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
-    """S[j] = sum of chi_j(m) over the family's members m <= x, for every
-    j in [0, p-2]: the DFT of the histogram of their discrete logs."""
-    if x < 1:
-        raise ValueError("need x >= 1")
+    """S[k] = sum of chi_{(n/R) k}(m) over the family's members m <= x, for
+    the R characters of pr_decomposition: the length-R DFT of the histogram
+    of their discrete logs mod R."""
+    if not 1 <= x < 1 << 63:
+        raise ValueError("need 1 <= x < 2^63")
     # the table first: it refuses p > MAX_LOG_P before the histogram is built
     ind = ctx.index_table
     h = _family(target)[1](ctx.p, x)
-    hist = np.zeros(ctx.p - 1, dtype=np.complex128)
-    hist[ind[1:]] = h[1:]
-    # unnormalised inverse transform in place: S[j] = sum_k hist[k] e^{2 pi i jk/n}
-    return np.fft.ifft(hist, norm="forward", out=hist)
+    rad = math.prod(ctx.p1_primes)
+    sums = np.bincount(ind[1:] % rad, weights=h[1:], minlength=rad).astype(np.complex128)
+    # unnormalised inverse transform in place: S[k] = sum_r sums[r] e^{2 pi i kr/R}
+    return np.fft.ifft(sums, norm="forward", out=sums)
 
 
-def _checked_characters(p: int, x: int, target: str) -> list[int]:
-    n = p - 1
-    if n <= CHECK_SAMPLE + 2:
-        return list(range(n))
+def _checked_characters(p: int, rad: int, x: int, target: str) -> list[int]:
+    if rad <= CHECK_SAMPLE + 2:
+        return list(range(rad))
     rng = random.Random(f"{p}:{x}:{target}")
-    extra = [j for j in rng.sample(range(1, n), CHECK_SAMPLE + 1) if j != n // 2]
-    return [0, n // 2, *extra[:CHECK_SAMPLE]]
+    extra = [k for k in rng.sample(range(1, rad), CHECK_SAMPLE + 1) if k != rad // 2]
+    return [0, rad // 2, *extra[:CHECK_SAMPLE]]
 
 
 def _check_factored(ctx: PrimeContext, x: int, target: str, sums: np.ndarray) -> None:
-    js = _checked_characters(ctx.p, x, target)
+    ks = _checked_characters(ctx.p, len(sums), x, target)
+    js = [(ctx.p - 1) // len(sums) * k for k in ks]
     want = _family(target)[2](ctx, js, x, route="factored").value
-    rel = np.abs(sums[js] - want) / np.maximum(1.0, np.abs(want))
-    for j, got, w, e in zip(js, sums[js], want, rel):
+    rel = np.abs(sums[ks] - want) / np.maximum(1.0, np.abs(want))
+    for j, got, w, e in zip(js, sums[ks], want, rel):
         if not e < CHECK_RTOL:
             raise ArithmeticError(
                 f"{target} sum of chi_{j} mod {ctx.p} to x={x}: "
@@ -251,12 +252,11 @@ def _charsum_count(ctx: PrimeContext, x: int, target: str) -> tuple[float, int]:
     sums = family_charsums(ctx, x, target)
     _check_factored(ctx, x, target, sums)
     w = pr_decomposition(ctx)
-    chars = int(np.count_nonzero(w))
     n = ctx.p - 1
     total = np.dot(w, sums) * arith.euler_phi(n) / n
-    if abs(total.imag) > 1e-6 * max(1, chars):
+    if abs(total.imag) > 1e-6 * len(w):
         raise ArithmeticError(f"imaginary drift {total.imag} in charsum count")
-    return float(total.real), chars
+    return float(total.real), len(w)
 
 
 def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
@@ -266,10 +266,10 @@ def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
 def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:
     """Primitive roots <= x in the target family of FAMILIES: "squarefull",
     "S" (q^2 r^3, q and r prime) or "squarefree", by the brute route, the
-    charsum route or both. Both routes read discrete logs, so p >
-    MAX_LOG_P is refused before anything of length p or x is allocated."""
-    if x < 1:
-        raise ValueError("need x >= 1")
+    charsum route or both. Both read discrete logs: p > MAX_LOG_P, and x >=
+    2^63, are refused before anything of length p or x is allocated."""
+    if not 1 <= x < 1 << 63:  # then every int64 power and product of the walks fits
+        raise ValueError("need 1 <= x < 2^63")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx.index_table  # refuses p > MAX_LOG_P before anything of length p or x

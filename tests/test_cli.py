@@ -1,6 +1,7 @@
 """CLI surface: exit codes, schemas, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,12 +10,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sfpr
 from sfpr import analytics, arith, cli, verify
 from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
+from sfpr.counting import FAMILIES, METHODS
 
 
 def run_cli(capsys, *argv):
@@ -146,20 +149,39 @@ def test_count_bad_tolerance(capsys, tolerance):
 
 
 def _euler_pr_count(p, x, target):
-    """Square-full or square-free m <= x that are primitive roots mod p, by
-    Euler's criterion at every prime q | p - 1."""
-    qs = [q for q, _ in arith.factorize(p - 1)]
-    count = 0
-    for m in range(2, x + 1):
-        exps = [e for _, e in arith.factorize(m)]
-        if (min(exps) >= 2) if target == "squarefull" else (max(exps) == 1):
-            count += all(pow(m, (p - 1) // q, p) != 1 for q in qs)
-    return count
+    """Square-full or square-free m <= x, prime to p, that are primitive
+    roots mod p, by Euler's criterion at every prime q | p - 1. The members
+    are marked in a table of x + 1 entries (a^2 b^3 for every a, b; or no d^2
+    dividing m), and the powers run in numpy lanes: p < 2^31, so every
+    product fits in int64."""
+    member = np.zeros(x + 1, dtype=bool)
+    if target == "squarefull":
+        for b in range(1, arith.icbrt(x) + 1):
+            member[np.arange(1, math.isqrt(x // b**3) + 1) ** 2 * b**3] = True
+    else:
+        member[1:] = True
+        for d in range(2, math.isqrt(x) + 1):
+            member[d * d :: d * d] = False
+    m = np.flatnonzero(member)
+    m = m[m % p != 0]
+    is_pr = np.ones(len(m), dtype=bool)
+    for q, _ in arith.factorize(p - 1):
+        e, base, power = (p - 1) // q, m % p, np.ones(len(m), dtype=np.int64)
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        is_pr &= power != 1
+    return int(is_pr.sum())
 
 
-# Moduli with 100 002, 58 254 and 263 010 characters of square-free order,
-# the last two above 2^20 and read from the same discrete-log table as the
-# rest: the charsum count must not grow with the number of characters.
+# Moduli with 100 002, 58 254, 263 010 and 419 430 characters of square-free
+# order, the last three above 2^20 and read from the same discrete-log table
+# as the rest: the charsum count must not grow with the number of characters.
+# At 4194301, the largest prime below MAX_LOG_P, the count transforms only
+# those R = (p-1)/10 characters, and x = 5e6 puts multiples of p among the
+# members.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -168,6 +190,7 @@ def _euler_pr_count(p, x, target):
         ("--p", "1052041", "--x", "100", "--method", "charsum"),
         ("--p", "1052041", "--x", "10000", "--target", "squarefree", "--method", "charsum"),
         ("--p", "1052041", "--x", "1000000"),
+        ("--p", "4194301", "--x", "5000000", "--target", "squarefree", "--method", "charsum"),
     ],
 )
 def test_count_large_modulus_budget(tmp_path, argv):
@@ -209,6 +232,17 @@ def test_count_past_max_log_p_fails_fast(tmp_path):
     code, out, err, _, _ = run_measured(tmp_path, ["least", "--p", "4194319"], timeout=60)
     assert code == 0, err
     assert out.splitlines()[1].startswith("4194319,")
+
+
+def test_count_x_past_int64_fails_fast(tmp_path):
+    # icbrt(2^63) = 2^21, whose cube overflows int64: x >= 2^63 is refused
+    # before any walk, histogram or sieve, for every target and method
+    for target in FAMILIES:
+        for method in METHODS:
+            argv = ["count", "--p", "101", "--x", str(1 << 63), "--target", target, "--method", method]
+            _assert_fails_fast(tmp_path, argv, "2^63")
+    argv = ["profile", "--p", "101", "--target", "thm1", "--x-grid", "1e19:1e19:10"]
+    _assert_fails_fast(tmp_path, argv, "2^63")
 
 
 @pytest.mark.parametrize("target", ["thm1", "lemma22", "thm31", "prop42"])
@@ -265,6 +299,24 @@ def test_count_out_of_memory_is_clean():
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("sfpr: error: out of memory")
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "target,digest",
+    [
+        ("squarefull", "7866867c8d86dbcb118816362e2c318fd5f7d2bf4879e386b1b4c2aa609ef666"),
+        ("S", "fc42574e3dc16c513b63414526f1e3f577ec2a3a45b9ab3d1f1af34a855f0c1b"),
+        ("squarefree", "f19e1c7b07982a68614e70c862319801e88f3fcd35de85ecd8ae445d6f4aab7b"),
+    ],
+)
+def test_count_stdout_pinned_when_p_minus_1_squarefree(capsys, target, digest):
+    # sha256 of the stdout from when every one of the p - 1 characters was
+    # transformed; 4002 = 2 3 23 29 is square-free, so the fold mod R = 4002
+    # is the same transform and must give the same bytes
+    argv = ["count", "--p", "4003", "--x", "1000000", "--target", target, "--method", "both"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_count_charsum_only(capsys):

@@ -123,15 +123,15 @@ def oracle_least_squarefree_pr(p):
 
 
 def indicator(ctx, m):
-    """(phi(n)/n) sum_j w[j] chi_j(m), n = p - 1, with the weights of
-    pr_decomposition and chi_j(m) = exp(2 pi i j ind(m) / n): 1 when m is a
-    primitive root mod p and 0 otherwise, up to float error."""
+    """(phi(n)/n) sum_k w[k] chi_j(m), n = p - 1, j = (n/R) k, with the R
+    weights of pr_decomposition and chi_j(m) = exp(2 pi i j ind(m) / n): 1
+    when m is a primitive root mod p and 0 otherwise, up to float error."""
     if m % ctx.p == 0:
         return 0.0
     n = ctx.p - 1
     w = pr_decomposition(ctx)
-    js = np.flatnonzero(w)
-    total = np.dot(w[js], np.exp(2j * np.pi * (js * ctx.index_table[m % ctx.p] % n) / n))
+    js = n // len(w) * np.arange(len(w))
+    total = np.dot(w, np.exp(2j * np.pi * (js * ctx.index_table[m % ctx.p] % n) / n))
     return float(total.real) * arith.euler_phi(n) / n
 
 
@@ -158,7 +158,10 @@ def characters_of_order(ctx, d):
 
 
 def test_pr_decomposition_weights_by_order():
-    for p in (3, 7, 13, 31, 101, 211):
+    # the weight of every character j in [0, p-2] by its order; the R = rad(n)
+    # weights of pr_decomposition are those at j = (n/R) k, and every other
+    # character weighs 0
+    for p in (3, 5, 7, 13, 31, 101, 211, 1009):
         ctx = build_context(p)
         n = p - 1
         want = np.zeros(n)
@@ -166,8 +169,10 @@ def test_pr_decomposition_weights_by_order():
             for j in characters_of_order(ctx, d):
                 want[j] = arith.mobius(d) / arith.euler_phi(d)
         w = pr_decomposition(ctx)
-        assert np.array_equal(w, want)
-        assert np.count_nonzero(w) == np.prod(ctx.p1_primes)
+        rad = np.prod(ctx.p1_primes)
+        assert len(w) == rad and np.count_nonzero(w) == rad
+        assert np.array_equal(w, want[:: n // rad])
+        assert np.count_nonzero(want) == rad
 
 
 # -- counts -----------------------------------------------------------------
@@ -222,17 +227,78 @@ def test_residual_small_on_grid(p, target):
 _FACTORED = {"squarefull": sum_char_squarefull, "S": sum_char_prime_powerful, "squarefree": sum_char_squarefree}
 
 
+def full_spectrum(ctx, x, target):
+    """S[j] for every j in [0, p-2]: the family's periodic histogram
+    scattered onto discrete logs and transformed at length p - 1."""
+    hist = np.zeros(ctx.p - 1, dtype=np.complex128)
+    hist[ctx.index_table[1:]] = counting.FAMILIES[target][1](ctx.p, x)[1:]
+    return np.fft.ifft(hist, norm="forward")
+
+
+def assert_folded(ctx, x, target, sums, atol):
+    """sums has the R = rad(p - 1) entries of the full spectrum at j = (n/R) k."""
+    rad = math.prod(ctx.p1_primes)
+    assert sums.shape == (rad,)
+    full = full_spectrum(ctx, x, target)
+    assert np.allclose(sums, full[:: (ctx.p - 1) // rad], rtol=0, atol=atol)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 @pytest.mark.parametrize("x", [100, 10**4])
 @pytest.mark.parametrize("target", ["squarefull", "S", "squarefree"])
 def test_family_charsums_full_spectrum(p, x, target):
+    # every character's sum, from the full spectrum, against the factored
+    # route; the folded spectrum is its entries of square-free order
     ctx = build_context(p)
-    sums = family_charsums(ctx, x, target)
-    assert sums.shape == (p - 1,)
-    assert sums[0] == sum(1 for m in oracle_members(target, x) if m % p)
+    full = full_spectrum(ctx, x, target)
+    assert full.shape == (p - 1,)
+    assert full[0] == sum(1 for m in oracle_members(target, x) if m % p)
     for j in range(p - 1):
         want = _FACTORED[target](ctx, [j], x, route="factored").value[0]
-        assert abs(sums[j] - want) <= 1e-9 * max(1.0, abs(want)), j
+        assert abs(full[j] - want) <= 1e-9 * max(1.0, abs(want)), j
+    sums = family_charsums(ctx, x, target)
+    assert sums[0] == full[0]
+    assert_folded(ctx, x, target, sums, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 97, 101, 1009])
+@pytest.mark.parametrize("target", ["squarefull", "S", "squarefree"])
+def test_family_charsums_fold_matches_full_spectrum(p, target):
+    # n/R is 2, 2, 8, 16, 10 and 4: the fold mod R and the length-R transform
+    # give every (n/R)-th entry of the length-n one
+    ctx = build_context(p)
+    for x in (1, 100, 10**4, 10**6):
+        assert_folded(ctx, x, target, family_charsums(ctx, x, target), atol=1e-9)
+
+
+def test_family_charsums_fold_matches_full_spectrum_large():
+    # p - 1 = 2^2 3^3 7 19 73, so R = 58254 = n/18; x from a seeded draw, and
+    # every folded entry is compared, with a bound of 1e-12 a member
+    ctx = build_context(1048573)
+    rng = random.Random(1048573)
+    for target in ("squarefull", "S", "squarefree"):
+        x = rng.randrange(10**5, 10**6)
+        members = counting.FAMILIES[target][1](ctx.p, x).sum()
+        assert_folded(ctx, x, target, family_charsums(ctx, x, target), atol=1e-12 * members)
+
+
+@pytest.mark.parametrize("p", [101, 1048573])
+def test_charsum_check_rejects_fold_by_a_divisor_of_rad(monkeypatch, p):
+    # a planted mutant folds the logs mod R/q for a prime q | R, and keeps the
+    # length R: the factored check must see it, for every q
+    ctx = build_context(p)
+    for q in ctx.p1_primes:
+
+        def fold_by_rad_over_q(ctx, x, target):
+            h = counting.FAMILIES[target][1](ctx.p, x)
+            rad = math.prod(ctx.p1_primes)
+            sums = np.bincount(ctx.index_table[1:] % (rad // q), weights=h[1:], minlength=rad)
+            return np.fft.ifft(sums, norm="forward")
+
+        monkeypatch.setattr(counting, "family_charsums", fold_by_rad_over_q)
+        for target in ("squarefull", "S", "squarefree"):
+            with pytest.raises(ArithmeticError, match="FFT .* vs factored"):
+                count_by_target(ctx, 10**5, target, method="charsum")
 
 
 @pytest.mark.parametrize("run_chunk", [7, squarefull._RUN_CHUNK])
@@ -262,9 +328,11 @@ def test_family_charsums_match_power_oracle():
 
 
 def test_family_charsums_transform_in_place():
-    # the spectrum overwrites the complex histogram (16 bytes a residue); a
-    # real histogram transformed into a new array holds the histogram,
-    # numpy's complex copy of it and the spectrum, 48 bytes a residue
+    # building the square-full histogram peaks at 25 bytes a residue; the fold
+    # holds the histogram, the logs mod R and bincount's float copy of the
+    # histogram (24 bytes a residue), and the spectrum overwrites the complex
+    # fold of R entries. A complex buffer of p - 1 entries on top of those,
+    # or a transform of that length into a new array, passes 32 bytes
     p = 1048573
     ctx = build_context(p)
     ctx.index_table
@@ -299,11 +367,15 @@ def test_charsum_check_rejects_wrong_spectrum(monkeypatch):
 
 
 def test_checked_characters_fixed_sample():
-    assert counting._checked_characters(11, 100, "S") == list(range(10))
-    js = counting._checked_characters(4003, 10**6, "squarefree")
-    assert js == counting._checked_characters(4003, 10**6, "squarefree")
+    # k indexes the R = rad(p - 1) characters of pr_decomposition
+    assert counting._checked_characters(11, 10, 100, "S") == list(range(10))
+    assert counting._checked_characters(101, 10, 10**4, "S") == list(range(10))
+    js = counting._checked_characters(4003, 4002, 10**6, "squarefree")
+    assert js == counting._checked_characters(4003, 4002, 10**6, "squarefree")
     assert js[:2] == [0, 2001] and len(set(js)) == 10
-    assert js != counting._checked_characters(4003, 10**6, "squarefull")
+    assert js != counting._checked_characters(4003, 4002, 10**6, "squarefull")
+    ks = counting._checked_characters(1048573, 58254, 10**6, "S")
+    assert ks[:2] == [0, 29127] and len(set(ks)) == 10 and max(ks) < 58254
 
 
 def test_count_single_method_fields():
@@ -323,6 +395,21 @@ def test_count_rejects():
         count_by_target(ctx, 10, "powerful")
     with pytest.raises(ValueError):
         count_by_target(ctx, 10, "squarefull", method="fast")
+
+
+def test_x_past_int64_refused():
+    # at x >= 2^63, icbrt(x) >= 2^21 and b^3 overflows int64 in the square-full
+    # runs; every route refuses such x with the bound named
+    ctx = build_context(101)
+    for target, (_, _, charsum) in counting.FAMILIES.items():
+        for method in counting.METHODS:
+            with pytest.raises(ValueError, match=r"x < 2\^63"):
+                count_by_target(ctx, 1 << 63, target, method)
+        with pytest.raises(ValueError, match=r"x < 2\^63"):
+            family_charsums(ctx, 1 << 63, target)
+        for route in ("direct", "factored"):
+            with pytest.raises(ValueError, match=r"x < 2\^63"):
+                charsum(ctx, [0], 1 << 63, route=route)
 
 
 def test_count_matches_order_oracle_p211():
