@@ -407,8 +407,6 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     Error envelope (implied constant 1):
     x^{1/3} log x p^{1/9} (log p)^{1/6} 2^{omega(p-1)}.
     """
-    if x < 1:
-        raise ValueError("need x >= 1")
     p = ctx.p
     leading = _cp_closed(ctx)[0] * math.sqrt(x) / _squarefull_denominator(p)
     exact = count_by_target(ctx, x, "squarefull", method="brute").brute_count
@@ -429,8 +427,6 @@ def squarefull_charsum_main_term(ctx: PrimeContext, x: int, case: str) -> MainTe
     Envelopes: principal x^{1/6+0.01}; quadratic
     x^{1/4} (log x)^{1/2} p^{3/32}.
     """
-    if x < 1:
-        raise ValueError("need x >= 1")
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
     p = ctx.p
@@ -484,8 +480,6 @@ def squarefree_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
 
     Predicted = p phi(p-1)/(p^2-1) * (6/pi^2) * x; envelope sqrt(x).
     """
-    if x < 1:
-        raise ValueError("need x >= 1")
     p = ctx.p
     leading = p * arith.euler_phi(p - 1) / (p**2 - 1) * (6.0 / math.pi**2) * x
     exact = count_by_target(ctx, x, "squarefree", method="brute").brute_count
@@ -507,9 +501,7 @@ def main_term_by_target(
 ) -> MainTermBreakdown:
     if target not in MAIN_TERMS:
         raise ValueError(f"unknown target {target!r}")
-    # every target counts through discrete logs: past MAX_LOG_P this raises
-    # before any main term is computed
-    ctx.index_table
+    ctx.logs_to(x)  # every target counts through discrete logs
     fn = MAIN_TERMS[target]
     return fn(ctx, x, case) if target == "lemma22" else fn(ctx, x)
 

@@ -7,12 +7,14 @@ quadratic one (it coincides with the Legendre symbol); chi_j has order
 (p-1)/gcd(j, p-1), and its conjugate is chi_{-j mod p-1}. Every layer
 computes with integer arrays of such indices; there is no character object.
 
-Discrete logs come from one full lookup table, filled in numpy blocks of
-about sqrt(p) consecutive powers of the generator, for every p up to
+Discrete logs come from one full int32 lookup table, filled in numpy blocks
+of about sqrt(p) consecutive powers of the generator, for every p up to
 MAX_LOG_P = 2^22. The bound is a memory budget: a count at the largest prime
 below it holds the table, the primitive-root table and the family's FFT in
-well under 1 GB. Above it index_table raises ValueError, and the value and
-primitive-root tables fetch the index table before allocating their own.
+well under 1 GB. A count reads the logs through PrimeContext.logs_to(x),
+the one check of its domain: x outside [1, 2^63) and p > MAX_LOG_P are
+refused there, before anything of length p or x is allocated (the value
+and primitive-root tables read index_table, which refuses p, first too).
 Every table is a cached property, built on its first read; a context stays
 lightweight until something asks for one. The Legendre-symbol table needs no
 logs and serves p up to
@@ -76,14 +78,22 @@ class PrimeContext:
         for k in range(span):
             powers[k] = v
             v = v * g % p
-        ks = np.arange(span, dtype=np.int64)
-        table = np.zeros(p, dtype=np.int64)
+        ks = np.arange(span, dtype=np.int32)
+        table = np.zeros(p, dtype=np.int32)  # p < 2^31; j * ind is taken in int64
         lead = 1
         for start in range(0, n, span):
             m = min(span, n - start)
             table[powers[:m] * lead % p] = ks[:m] + start
             lead = lead * v % p
         return table
+
+    def logs_to(self, x: int) -> np.ndarray:
+        """index_table, for a count up to x: x outside [1, 2^63), where the
+        walks' int64 powers would overflow, and p > MAX_LOG_P raise
+        ValueError before anything of length p or x is allocated."""
+        if not 1 <= x < 1 << 63:
+            raise ValueError("need 1 <= x < 2^63")
+        return self.index_table
 
     # -- tables and character values -----------------------------------------
 

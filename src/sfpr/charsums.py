@@ -26,19 +26,16 @@ cached: near MAX_LOG_P each row is 64 MB. A direct sum takes the family's
 walk histogram (squarefull.*_walk: the members counted by residue class mod
 p) and dots it with each character's values over the p residues, one row of
 PrimeContext.values at a time, so it holds O(p) values.
-Every route reads discrete logs, so every sum here raises ValueError for p >
-characters.MAX_LOG_P.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import arith, squarefull
+from . import squarefull
 from .characters import PrimeContext
 
 __all__ = [
@@ -86,11 +83,8 @@ def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.nd
 
 def _restricted_sum(ctx, js, x, route, walk, factored) -> SumResult:
     """The restricted sums of chi_j for j in js by the direct route (the
-    walk histogram dotted with each character's values) or the factored
-    one; x >= 2^63 is refused before anything is allocated."""
-    if not 1 <= x < 1 << 63:
-        raise ValueError("need 1 <= x < 2^63")
-    ctx.index_table  # refuses p > MAX_LOG_P before anything of length x
+    walk histogram dotted with each character's values) or the factored one."""
+    ctx.logs_to(x)
     js = np.asarray(js, dtype=np.int64)
     if route == "direct":
         h = walk(ctx.p, x)
@@ -122,10 +116,8 @@ def sum_char_squarefree(ctx: PrimeContext, js: Sequence[int], x: int, route: str
 
 
 def _squarefree_factored(ctx: PrimeContext, js: np.ndarray, x: int) -> tuple[np.ndarray, int]:
-    mu = arith.mobius_table(math.isqrt(x))
-    d = np.flatnonzero(mu)
-    inner_x = x // (d * d)
-    outer = mu[d] * ctx.values(js, d * d)
+    d, inner_x, mu = squarefull.squarefree_runs(x)
+    outer = mu * ctx.values(js, d * d)
     return (outer * _interval_values(ctx, js, inner_x)).sum(axis=1), int(inner_x.sum())
 
 

@@ -18,9 +18,6 @@ periodicity mod p without visiting the members (O(sqrt(x p)) and O(sqrt(x))
 entries); the q^2 r^3 family walks its O(sqrt(x)) members as runs. Memory is
 O(p) beyond those and the sieve tables of sqrt(x) and x^(1/3) entries; the
 transform is O(R log R).
-Both routes below read the discrete-log table, so count_by_target fetches it
-first: p > characters.MAX_LOG_P is refused before anything of length p or x
-is allocated.
 
 Two independent routes keep every count an executable identity. The brute
 route walks the members (the walk histograms of sfpr.squarefull) and adds
@@ -161,10 +158,7 @@ def _squarefree_histogram(p: int, x: int) -> np.ndarray:
     X = x // d^2 multiples k d^2, which cover every class X // p times plus
     the classes k d^2 mod p for k <= X % p. O(sqrt(x p)) entries in all."""
     h = np.zeros(p, dtype=np.int64)
-    mu = arith.mobius_table(math.isqrt(x))  # cached: the factored check reads it too
-    d = np.flatnonzero(mu)
-    w = mu[d].astype(np.int64)
-    big_x = x // (d * d)
+    d, big_x, w = squarefull.squarefree_runs(x)
     at_p = d % p == 0  # k d^2 = 0 mod p for every k
     h[0] += int(np.dot(w[at_p], big_x[at_p]))
     d, w, big_x = d[~at_p], w[~at_p], big_x[~at_p]
@@ -216,10 +210,7 @@ def family_charsums(ctx: PrimeContext, x: int, target: str) -> np.ndarray:
     """S[k] = sum of chi_{(n/R) k}(m) over the family's members m <= x, for
     the R characters of pr_decomposition: the length-R DFT of the histogram
     of their discrete logs mod R."""
-    if not 1 <= x < 1 << 63:
-        raise ValueError("need 1 <= x < 2^63")
-    # the table first: it refuses p > MAX_LOG_P before the histogram is built
-    ind = ctx.index_table
+    ind = ctx.logs_to(x)
     h = _family(target)[1](ctx.p, x)
     rad = math.prod(ctx.p1_primes)
     sums = np.bincount(ind[1:] % rad, weights=h[1:], minlength=rad).astype(np.complex128)
@@ -266,13 +257,10 @@ def _brute_count(ctx: PrimeContext, x: int, target: str) -> int:
 def count_by_target(ctx: PrimeContext, x: int, target: str, method: str = "both") -> CountReport:
     """Primitive roots <= x in the target family of FAMILIES: "squarefull",
     "S" (q^2 r^3, q and r prime) or "squarefree", by the brute route, the
-    charsum route or both. Both read discrete logs: p > MAX_LOG_P, and x >=
-    2^63, are refused before anything of length p or x is allocated."""
-    if not 1 <= x < 1 << 63:  # then every int64 power and product of the walks fits
-        raise ValueError("need 1 <= x < 2^63")
+    charsum route or both; both read discrete logs (PrimeContext.logs_to)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    ctx.index_table  # refuses p > MAX_LOG_P before anything of length p or x
+    ctx.logs_to(x)
     brute = charsum = residual = None
     tb = tc = None
     chars = 0

@@ -24,6 +24,7 @@ from . import arith
 __all__ = [
     "squarefree_numbers",
     "squarefull_stream",
+    "squarefree_runs",
     "squarefull_runs",
     "prime_powerful_runs",
     "squarefree_table",
@@ -34,8 +35,6 @@ __all__ = [
 
 def squarefree_table(x: int) -> np.ndarray:
     """Boolean table t[m] = mu^2(m) for 0 <= m <= x."""
-    if x < 1:
-        raise ValueError("need x >= 1")
     t = np.ones(x + 1, dtype=bool)
     t[0] = False
     if x >= 4:
@@ -61,6 +60,14 @@ def squarefull_stream() -> Iterator[int]:
             heapq.heappush(heap, (b_next**3, 1, b_next))
         heapq.heappush(heap, ((a + 1) * (a + 1) * b * b * b, a + 1, b))
         yield v
+
+
+def squarefree_runs(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, X, mu): the square-free d <= sqrt(x), X = x // d^2 multiples of d^2
+    up to x, and mu(d) as int8, the runs of mu^2(m) = sum_{d^2 | m} mu(d)."""
+    mu = arith.mobius_table(math.isqrt(x))
+    d = np.flatnonzero(mu)
+    return d, x // (d * d), mu[d]
 
 
 def squarefull_runs(x: int) -> tuple[np.ndarray, np.ndarray]:

@@ -191,6 +191,7 @@ def _euler_pr_count(p, x, target):
         ("--p", "1052041", "--x", "10000", "--target", "squarefree", "--method", "charsum"),
         ("--p", "1052041", "--x", "1000000"),
         ("--p", "4194301", "--x", "5000000", "--target", "squarefree", "--method", "charsum"),
+        ("--p", "4194301", "--x", "5000000", "--target", "squarefree"),
     ],
 )
 def test_count_large_modulus_budget(tmp_path, argv):
@@ -203,7 +204,22 @@ def test_count_large_modulus_budget(tmp_path, argv):
     else:
         want = _euler_pr_count(rep["p"], rep["x"], rep["target"])
         assert rep["charsum_value"] == pytest.approx(want, abs=1e-6)
-    assert rss_mb <= 256, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+    # the int32 discrete-log table (4 bytes a residue) keeps 4194301 below 240 MB
+    bound = 240 if rep["p"] == 4194301 else 256
+    assert rss_mb <= bound, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
+
+
+def test_count_worst_rad_within_max_log_p_budget(tmp_path):
+    # p - 1 = 2 * 2097143 is square-free, so R = p - 1 and the length-R FFT,
+    # with a prime factor of 2 million, takes numpy's Bluestein route: the
+    # costliest count below MAX_LOG_P must still keep its 1 GB budget
+    argv = ["count", "--p", "4194287", "--x", "5000000", "--target", "squarefree", "--method", "charsum"]
+    code, out, err, wall, rss_mb = run_measured(tmp_path, argv, timeout=60)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["characters_used"] == 4194286
+    assert rep["charsum_value"] == pytest.approx(_euler_pr_count(4194287, 5000000, "squarefree"), abs=1e-6)
+    assert rss_mb <= 1024, f"peak RSS {rss_mb:.0f} MB after {wall:.1f} s"
 
 
 def _assert_fails_fast(tmp_path, argv, bound=f"MAX_LOG_P = {MAX_LOG_P}"):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfpr import arith, counting, squarefull
+from sfpr.analytics import MAIN_TERMS, main_term_by_target
 from sfpr.characters import build_context
 from sfpr.charsums import sum_char_prime_powerful, sum_char_squarefree, sum_char_squarefull
 from sfpr.counting import (
@@ -410,6 +411,81 @@ def test_x_past_int64_refused():
         for route in ("direct", "factored"):
             with pytest.raises(ValueError, match=r"x < 2\^63"):
                 charsum(ctx, [0], 1 << 63, route=route)
+
+
+@pytest.mark.parametrize("x", [0, 1 << 63])
+@pytest.mark.parametrize("target", list(MAIN_TERMS))
+def test_main_term_x_outside_domain_refused(target, x):
+    # the main terms check no x of their own: PrimeContext.logs_to refuses
+    # it, with the bound named, before any main term is computed
+    with pytest.raises(ValueError, match=r"1 <= x < 2\^63"):
+        main_term_by_target(build_context(101), x, target)
+
+
+# -- what the routes of each gate share ---------------------------------------
+#
+# The enumerations of sfpr.squarefull a route may read. A gate compares two
+# routes; what both read is not checked by that gate. arith.sieve_primes is
+# left out: every route reads it at some depth (through squarefree_table,
+# mobius_table or prime_powerful_runs), and test_arith checks it against
+# trial division on its own.
+ENUMERATIONS = ("squarefree_table", "squarefull_runs", "squarefree_runs", "prime_powerful_runs")
+GATES = {  # gate -> its two routes
+    "brute vs charsum": ("brute", "charsum"),  # count_by_target's residual
+    "charsum vs factored": ("charsum", "factored"),  # _check_factored
+    "direct vs factored": ("direct", "factored"),  # the route identity of charsums
+}
+_ONE_WALK = "every route reads the family's one enumeration; ROADMAP item 7 adds a second"
+_TABLE_VS_RUNS = "nothing: the walk reads the table of mu^2, the other route the Mobius runs"
+# (target, gate) -> (the enumerations both routes read, why)
+SHARED = {
+    **{("squarefull", gate): ({"squarefull_runs", "squarefree_table"}, _ONE_WALK) for gate in GATES},
+    **{("S", gate): ({"prime_powerful_runs"}, _ONE_WALK) for gate in GATES},
+    ("squarefree", "brute vs charsum"): (set(), _TABLE_VS_RUNS),
+    ("squarefree", "charsum vs factored"): (
+        {"squarefree_runs"},
+        "both sum the Mobius runs, which brute vs charsum checks against the table",
+    ),
+    ("squarefree", "direct vs factored"): (set(), _TABLE_VS_RUNS),
+}
+
+
+def _routes_read(monkeypatch, ctx, x, target):
+    """route -> the ENUMERATIONS it reads, for the four routes of a count."""
+    read = set()
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            read.add(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ENUMERATIONS:
+        monkeypatch.setattr(squarefull, name, spy(name, getattr(squarefull, name)))
+    charsum = counting.FAMILIES[target][2]
+    routes = {
+        "brute": lambda: counting._brute_count(ctx, x, target),
+        "charsum": lambda: family_charsums(ctx, x, target),
+        "factored": lambda: charsum(ctx, [0, 1], x, route="factored"),
+        "direct": lambda: charsum(ctx, [0, 1], x, route="direct"),
+    }
+    out = {}
+    for route, run in routes.items():
+        read.clear()
+        run()
+        out[route] = set(read)
+    return out
+
+
+@pytest.mark.parametrize("target", list(counting.FAMILIES))
+def test_shared_enumerations_ledger(monkeypatch, target):
+    reads = _routes_read(monkeypatch, build_context(101), 10**5, target)
+    for gate, (a, b) in GATES.items():
+        shared, why = SHARED[target, gate]
+        assert why
+        assert reads[a] & reads[b] == shared, (gate, reads)
 
 
 def test_count_matches_order_oracle_p211():
