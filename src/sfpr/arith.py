@@ -41,18 +41,26 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SIMPLE_SIEVE_CUTOFF = 1 << 22
 _SEGMENT = 1 << 20
+# one per process, the largest so far: (limit, its primes) and the Mobius table
+_sieved = (1, np.zeros(0, dtype=np.int64))
+_mobius = np.zeros(1, dtype=np.int8)
 
 
 def sieve_primes(limit: int, lo: int = 2) -> np.ndarray:
-    """All primes in [lo, limit], ascending, as an int64 array. Past
-    _SIMPLE_SIEVE_CUTOFF only the segments from lo are sieved, so memory
-    follows the window, not limit."""
+    """All primes in [lo, limit], ascending, as an int64 array. Up to
+    _SIMPLE_SIEVE_CUTOFF it is a read-only slice of one list per process,
+    sieved again only for a limit above every earlier one; past it only the
+    segments from lo are sieved, so memory follows the window, not limit."""
+    global _sieved
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    if limit <= _SIMPLE_SIEVE_CUTOFF:
-        ps = _sieve_simple(limit)
-        return ps[np.searchsorted(ps, lo) :]
-    return _sieve_segmented(limit, lo)
+    if limit > _SIMPLE_SIEVE_CUTOFF:
+        return _sieve_segmented(limit, lo)
+    if limit > _sieved[0]:
+        _sieved = (limit, _sieve_simple(limit))
+        _sieved[1].flags.writeable = False
+    ps = _sieved[1]
+    return ps[np.searchsorted(ps, lo) : np.searchsorted(ps, limit, side="right")]
 
 
 def _sieve_simple(limit: int) -> np.ndarray:
@@ -187,21 +195,24 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-@functools.lru_cache(maxsize=4)
 def mobius_table(limit: int) -> np.ndarray:
-    """mu(m) for m in [0, limit] as read-only int8; mu(0) stored as 0. Cached:
-    a count's square-free histogram and its factored check share one."""
+    """mu(m) for m in [0, limit] as read-only int8; mu(0) stored as 0: a
+    slice of one table per process, built again only for a limit above every
+    earlier one, so every count's runs and factored check share it."""
+    global _mobius
     if limit < 1:
         raise ValueError("mobius table needs limit >= 1")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in sieve_primes(max(2, limit)).tolist():
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mu[sq::sq] = 0
-    mu.flags.writeable = False
-    return mu
+    if limit >= len(_mobius):
+        mu = np.ones(limit + 1, dtype=np.int8)
+        mu[0] = 0
+        for p in sieve_primes(max(2, limit)).tolist():
+            mu[p::p] *= -1
+            sq = p * p
+            if sq <= limit:
+                mu[sq::sq] = 0
+        mu.flags.writeable = False
+        _mobius = mu
+    return _mobius[: limit + 1]
 
 
 def is_primitive_root(a: int, p: int, qs) -> bool:

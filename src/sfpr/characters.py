@@ -7,28 +7,30 @@ quadratic one (it coincides with the Legendre symbol); chi_j has order
 (p-1)/gcd(j, p-1), and its conjugate is chi_{-j mod p-1}. Every layer
 computes with integer arrays of such indices; there is no character object.
 
-Discrete logs come from one full int32 lookup table, filled in numpy blocks
-of about sqrt(p) consecutive powers of the generator, for every p up to
-MAX_LOG_P = 2^22. The bound is a memory budget: a count at the largest prime
-below it holds the table, the primitive-root table and the family's FFT in
-well under 1 GB. A count reads the logs through PrimeContext.logs_to(x),
-the one check of its domain: x outside [1, 2^63) and p > MAX_LOG_P are
-refused there, before anything of length p or x is allocated (the value
-and primitive-root tables read index_table, which refuses p, first too).
-Every table is a cached property, built on its first read; a context stays
-lightweight until something asks for one. The Legendre-symbol table needs no
-logs and serves p up to
-MAX_QR_P = 2^24, where the constants report built on it peaks under 1 GB;
-above it qr_signs raises ValueError before allocating anything.
+Discrete logs come from one full int32 lookup table, filled by rows of about
+sqrt(p) consecutive powers of the generator, one numpy outer product per
+block of rows up to 2^16 entries (one block for every p below 2^16), for
+every p up to MAX_LOG_P = 2^22. The bound is a memory budget: a count at the
+largest prime below it holds the table, the primitive-root table and the
+family's FFT in well under 1 GB. A count reads the logs through
+PrimeContext.logs_to(x), the one check of its domain: x outside [1, 2^63)
+and p > MAX_LOG_P are refused there, before anything of length p or x is
+allocated (the value and primitive-root tables read index_table, which
+refuses p, first too). Every table is a cached property, built on its first
+read; a context stays lightweight until something asks for one. The
+Legendre-symbol table needs no logs and serves p up to MAX_QR_P = 2^24,
+where the constants report built on it peaks under 1 GB; above it qr_signs
+raises ValueError before allocating anything.
 
 Character values are read through PrimeContext.values: the roots of unity
 gathered at j ind(m) mod p-1 for a matrix of characters j and points m.
 Nothing keeps a per-character table; a caller that needs chi_j over all p
 residues asks for that row and drops it. The one exception is
-charsums._interval_values, which gathers its prefixes into reused buffers
-in place: through PrimeContext.values the same bits took 1.6-1.9 times as
-long per call (0.85 against 0.53 ms at p = 3967, 23.2 against 12.4 ms at
-p = 99991, on 2 cores), about 11% more time for `sfpr verify`.
+charsums._interval_values, which gathers its prefixes in place into two
+buffers of max(p, 2^16) entries whatever the number of characters: through
+PrimeContext.values the ten characters of a count's check would hold ten
+p-length rows of each, about 1 GB at p = 4194301, and one character took
+1.4 to 2.9 times as long per call (2.5 against 0.9 ms at p = 99991).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = ["PrimeContext", "build_context", "MAX_LOG_P", "MAX_QR_P"]
 
 MAX_LOG_P = 1 << 22
 MAX_QR_P = 1 << 24
+_TABLE_BLOCK = 1 << 16  # entries per numpy block of index_table
 
 
 @dataclass(eq=False)
@@ -68,23 +71,25 @@ class PrimeContext:
             raise ValueError(
                 f"discrete logs need p <= MAX_LOG_P = {MAX_LOG_P} (1 GB budget), got {self.p}"
             )
-        # blocks of span = isqrt(p-1)+1 consecutive powers: block i is
-        # g^(i span) * (g^0 .. g^(span-1)) mod p, one numpy product each;
-        # the products stay below p^2 < 2^63
+        # rows of span = isqrt(p-1)+1 consecutive powers: row i is
+        # g^(i span) * (g^0 .. g^(span-1)) mod p, and a block of rows up to
+        # _TABLE_BLOCK entries is one outer product; the products stay below
+        # p^2 < 2^63
         p, g, n = self.p, self.generator, self.p - 1
         span = math.isqrt(n) + 1
-        powers = np.empty(span, dtype=np.int64)
-        v = 1
-        for k in range(span):
-            powers[k] = v
-            v = v * g % p
-        ks = np.arange(span, dtype=np.int32)
+        powers = [1]
+        for _ in range(span):
+            powers.append(powers[-1] * g % p)
+        leads = [1]
+        for _ in range(-(-n // span) - 1):
+            leads.append(leads[-1] * powers[span] % p)
+        powers, leads = np.array(powers[:span], dtype=np.int64), np.array(leads, dtype=np.int64)
         table = np.zeros(p, dtype=np.int32)  # p < 2^31; j * ind is taken in int64
-        lead = 1
-        for start in range(0, n, span):
-            m = min(span, n - start)
-            table[powers[:m] * lead % p] = ks[:m] + start
-            lead = lead * v % p
+        rows = max(1, _TABLE_BLOCK // span)
+        for lo in range(0, len(leads), rows):
+            start = lo * span
+            r = np.multiply.outer(leads[lo : lo + rows], powers).ravel()[: n - start]
+            table[np.remainder(r, p, out=r)] = np.arange(start, start + len(r), dtype=np.int32)
         return table
 
     def logs_to(self, x: int) -> np.ndarray:
@@ -101,7 +106,10 @@ class PrimeContext:
     def roots_of_unity(self) -> np.ndarray:
         """exp(2 pi i k/(p-1)) for k in [0, p-2]."""
         n = self.p - 1
-        return np.exp(2j * np.pi * np.arange(n) / n)
+        w = np.arange(n, dtype=np.complex128)  # in place: one array of n
+        w *= 2j * np.pi
+        w /= n
+        return np.exp(w, out=w)
 
     def values(self, js, ms) -> np.ndarray:
         """chi_j(m) for j in js (rows) and m in ms (columns), 0 where p | m."""

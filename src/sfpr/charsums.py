@@ -20,11 +20,12 @@ characters: the (k, n) matrix of character values at those points
 sums at the matching bounds (_interval_values), summed along each row.
 Interval sums come from one prefix per character: over 1..max(x) when every
 bound is below p, otherwise over a single period extended by periodicity.
-The prefixes are gathered in place, a block of rows of at most p entries at
-a time, not through PrimeContext.values (see sfpr.characters), and not
-cached: near MAX_LOG_P each row is 64 MB. A direct sum takes the family's
-walk histogram (squarefull.*_walk: the members counted by residue class mod
-p) and dots it with each character's values over the p residues, one row of
+The prefixes are gathered in place, a block of rows of at most max(p, 2^16)
+entries at a time (so at small p every character in one pass), not through
+PrimeContext.values (see sfpr.characters), and not cached: near MAX_LOG_P
+each row is 64 MB. A direct sum takes the family's walk histogram
+(squarefull.*_walk: the members counted by residue class mod p) and dots it
+with each character's values over the p residues, one row of
 PrimeContext.values at a time, so it holds O(p) values.
 """
 
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 
+_PREFIX_BLOCK = 1 << 16  # prefix entries per block at least, so small p take one block
+
+
 @dataclass(frozen=True)
 class SumResult:
     """value holds the k sums of k character indices, in their order;
@@ -58,14 +62,15 @@ class SumResult:
 def _interval_values(ctx: PrimeContext, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_{m <= x} chi_j(m) for j in js (rows) and x >= 0 in xs (columns).
     The prefixes over 0..span-1, span = min(max(xs) + 1, p), are built in
-    blocks of p // span rows, in two buffers of at most p entries."""
+    blocks of max(p, _PREFIX_BLOCK) // span rows, in two buffers of at most
+    max(p, _PREFIX_BLOCK) entries."""
     p = ctx.p
     xs = np.asarray(xs, dtype=np.int64)
     span = min(int(xs.max(initial=0)) + 1, p)
     q, r = np.divmod(xs, p)
     ind = ctx.index_table[:span]
     roots = ctx.roots_of_unity
-    rows = max(1, min(len(js), p // span))
+    rows = max(1, min(len(js), max(p, _PREFIX_BLOCK) // span))
     idx = np.empty((rows, span), dtype=np.int64)
     pre = np.empty((rows, span), dtype=np.complex128)
     out = np.empty((len(js), len(xs)), dtype=np.complex128)

@@ -75,7 +75,6 @@ import contextlib
 import functools
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -553,6 +552,7 @@ def _least_blocks(lo: int, hi: int, kinds: tuple[str, ...], payload, jobs: int, 
     with contextlib.ExitStack() as stack:
         mapped = map(worker, blocks)
         if jobs > 1 and len(blocks) > 1:
+            import multiprocessing  # here only: its import costs every other command 5 ms
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(min(jobs, len(blocks))))
             mapped = pool.imap(worker, blocks)
         for i, res in enumerate(mapped):

@@ -106,6 +106,24 @@ class TestSieve:
                 assert np.array_equal(got, full[full >= lo]), (limit, lo)
 
 
+    def test_one_list_per_process(self, monkeypatch):
+        # shuffled limits, the last below every earlier one: each answer is
+        # a read-only slice of the largest list so far, equal to a fresh
+        # sieve, and only a limit above every earlier one sieves again
+        monkeypatch.setattr(arith, "_sieved", (1, np.zeros(0, dtype=np.int64)))
+        sieved = []
+        fresh = arith._sieve_simple
+        monkeypatch.setattr(arith, "_sieve_simple", lambda limit: sieved.append(limit) or fresh(limit))
+        limits = [2, 3, 97, 1000, 3000, 4999, 5000, 10006, 10007]
+        random.Random(29).shuffle(limits)
+        for limit in [*limits, 13]:
+            got = arith.sieve_primes(limit)
+            assert np.array_equal(got, fresh(limit)), limit
+            assert np.array_equal(arith.sieve_primes(limit, 90), got[got >= 90]), limit
+            assert not got.flags.writeable
+        assert sieved == [m for i, m in enumerate(limits) if m > max(limits[:i], default=1)]
+
+
 class TestIsPrime:
     def test_against_sieve(self):
         ps = set(int(p) for p in arith.sieve_primes(10**4))
@@ -239,6 +257,22 @@ class TestMultiplicativeFunctions:
         for n in range(1, 2001):
             assert int(mu[n]) == arith.mobius(n)
         assert arith.mobius_table(1).tolist() == [0, 1]
+
+    def test_mobius_table_one_per_process(self, monkeypatch):
+        # shuffled limits, the last below every earlier one: each answer is
+        # a read-only slice of the largest table so far, equal to mobius
+        # pointwise, and only a limit above every earlier one builds again
+        monkeypatch.setattr(arith, "_mobius", np.zeros(1, dtype=np.int8))
+        limits = [1, 2, 30, 500, 1999, 2000, 777]
+        random.Random(29).shuffle(limits)
+        want = [0] + [arith.mobius(n) for n in range(1, 2001)]
+        built = {}  # id -> table; holding each table keeps its id unique
+        for limit in [*limits, 12]:
+            mu = arith.mobius_table(limit)
+            built[id(arith._mobius)] = arith._mobius
+            assert mu.dtype == np.int8 and not mu.flags.writeable
+            assert mu.tolist() == want[: limit + 1], limit
+        assert len(built) == len({max(limits[: i + 1]) for i in range(len(limits))})
 
     def test_divisors(self):
         assert oracle_divisors(12) == [1, 2, 3, 4, 6, 12]

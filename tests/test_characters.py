@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ class TestContext:
 
     def test_index_table_large_prime(self):
         p = 1048573
-        # the table is built in blocks of isqrt(p-1)+1 powers; here the last
-        # block is partial
+        # the table is built in rows of isqrt(p-1)+1 powers; here the last
+        # row is partial
         assert (p - 1) % (math.isqrt(p - 1) + 1) != 0
         ctx = build_context(p)
         ind = ctx.index_table
@@ -131,6 +132,30 @@ class TestContext:
         rng = random.Random(1048573)
         for k in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(997)]:
             assert ind[pow(ctx.generator, k, p)] == k
+
+    @pytest.mark.parametrize(
+        "p, block, whole",
+        [
+            (1123, 3 * 34, True),  # 33 rows of span 34: eleven blocks of three rows
+            (1123, 1, True),  # one row a block
+            (1123, 4 * 34, False),  # nine blocks, the last of one row
+            (65537, characters._TABLE_BLOCK, False),  # just past the budget: two blocks
+            (390001, characters._TABLE_BLOCK, True),  # six blocks of 104 rows of span 625
+        ],
+    )
+    def test_index_table_in_blocks(self, monkeypatch, p, block, whole):
+        # ind[g^k] = k for every k, whether p - 1 ends on a whole block or not
+        monkeypatch.setattr(characters, "_TABLE_BLOCK", block)
+        span = math.isqrt(p - 1) + 1
+        assert ((p - 1) % (max(1, block // span) * span) == 0) == whole
+        ctx = build_context(p)
+        powers, v = [], 1
+        for _ in range(p - 1):
+            powers.append(v)
+            v = v * ctx.generator % p
+        ind = ctx.index_table
+        assert ind.dtype == np.int32 and ind[0] == 0
+        assert np.array_equal(ind[powers], np.arange(p - 1))
 
     def test_index_tiny_modulus(self):
         ctx = build_context(3)
@@ -145,6 +170,24 @@ class TestContext:
             with pytest.raises(ValueError, match=f"MAX_LOG_P = {characters.MAX_LOG_P}"):
                 read()
         assert not {"index_table", "roots_of_unity", "is_pr_table"} & set(vars(ctx))
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 4002, 99990, 1048572, 4194300])
+    def test_roots_of_unity_bits(self, n):
+        # built in place, bit for bit the plain expression; only p is read,
+        # so n + 1 need not be prime
+        ctx = PrimeContext(p=n + 1, generator=1, p1_primes=())
+        assert ctx.roots_of_unity.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+
+    def test_roots_of_unity_one_array_of_n(self):
+        n = 4194300
+        ctx = PrimeContext(p=n + 1, generator=1, p1_primes=())
+        tracemalloc.start()
+        try:
+            ctx.roots_of_unity
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * n  # the 16 n bytes of the result and no temporary
 
     def test_is_pr_table(self):
         ctx = build_context(13)

@@ -78,6 +78,17 @@ class TestInterval:
         for j in range(12):
             assert abs(interval_sum(ctx, j, 200)) <= 200 + 1e-9
 
+    @pytest.mark.parametrize("xmax", [40, 101, 5000])  # spans below, at and past p
+    def test_blocks_of_rows_change_no_bit(self, monkeypatch, xmax):
+        # all 100 characters mod 101 in one block, then with the budget at 1,
+        # blocks of p // span rows
+        ctx = build_context(101)
+        js = np.arange(100)
+        xs = np.array([0, 1, 7, xmax // 2, xmax])
+        whole = charsums._interval_values(ctx, js, xs)
+        monkeypatch.setattr(charsums, "_PREFIX_BLOCK", 1)
+        assert np.array_equal(charsums._interval_values(ctx, js, xs), whole)
+
 
 class TestFrozenRestrictedSums:
     def test_squarefull_quadratic_p7(self):

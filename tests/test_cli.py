@@ -335,6 +335,16 @@ def test_count_stdout_pinned_when_p_minus_1_squarefree(capsys, target, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_stdout_pinned(capsys):
+    # sha256 of `verify --suite all`: its hundreds of small counts are where
+    # per-call costs show, and a faster route to them must keep these bytes
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "19192f79b000ddb01f747c9d40542f32d46470e41c7ec4a675cbb670888ab782"
+    )
+
+
 def test_count_charsum_only(capsys):
     code, out, _ = run_cli(capsys, "count", "--p", "13", "--x", "500", "--method", "charsum")
     assert code == 0
@@ -564,6 +574,26 @@ def test_commands_do_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False]]
+
+
+def test_commands_without_pool_do_not_import_multiprocessing():
+    # its import costs about 5 ms of every start-up; only a --jobs pool needs it
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sfpr.cli import main\n"
+        "runs = []\n"
+        "for argv in (['count', '--p', '101', '--x', '10000'], ['constants', '--p', '101'],\n"
+        "             ['verify', '--suite', 'all'], ['least', '--p', '101'],\n"
+        "             ['profile', '--target', 'thm31', '--p', '101', '--x-grid', '100:10000:10']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([main(argv), 'multiprocessing' in sys.modules])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * 5
 
 
 def test_profile_csv(capsys):

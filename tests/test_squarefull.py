@@ -5,6 +5,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from sfpr import squarefull
 from sfpr.arith import mobius, mobius_table
@@ -89,6 +90,19 @@ class TestSquarefreeTable:
         sf = squarefull.squarefree_table(100)
         both = [n for n in SQUAREFULL_TO_100 if sf[n]]
         assert both == [1]
+
+
+@pytest.mark.parametrize("p, x", [(3, 10**4 + 7), (101, 10**5), (4003, 10**6 + 1)])
+def test_squarefree_walk_int32_chunks(monkeypatch, p, x):
+    # chunks of 3 rows, some rows left over, summed in int32 and added in
+    # int64: the one int64 fold of every row and the tail
+    t = squarefull.squarefree_table(x).view(np.uint8)
+    rows = len(t) // p
+    want = t[: rows * p].reshape(rows, p).sum(axis=0, dtype=np.int64)
+    want[: len(t) - rows * p] += t[rows * p :]
+    monkeypatch.setattr(squarefull, "_SUM_ROWS", 3)
+    got = squarefull.squarefree_walk(p, x)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def prime_powerful_members(x, p):
