@@ -416,6 +416,21 @@ def test_scan_unwritable_out(capsys):
     )
     assert code == 1
     assert "cannot write" in err
+    assert err.count("\n") == 1  # refused before the scan, which reports progress
+    assert "scan:" not in err
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    # the path is opened before the work, but written only once the text is ready
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("an earlier report, longer than the next one\n")
+    for out in (old, new):
+        code, _, err = run_cli(capsys, "count", "--p", "7", "--x", "0", "--out", str(out))
+        assert code == 1 and err.startswith("sfpr: error: need 1 <= x")
+    assert old.read_text() == "an earlier report, longer than the next one\n"
+    assert not new.exists()
+    assert run_cli(capsys, "least", "--p", "5", "--out", str(old))[0] == 0
+    assert old.read_text() == "p,g_squarefull,g_squarefree,g_least_pr,ratio,omega\n5,8,2,2,1.600000,1\n"
 
 
 def test_scan_bad_range(capsys):
@@ -435,6 +450,17 @@ def test_hypothesis_small(capsys):
     assert rep["count"] == len(rep["exceptional"])
     ps = [p for p, _ in rep["exceptional"]]
     assert ps == sorted(ps)
+
+
+def test_hypothesis_benchmark_command_matches_pin():
+    # the benchmark's command in fresh processes, whose --jobs 2 pool forks
+    # from the heap that main froze
+    pinned_file = Path(__file__).resolve().parent.parent / "perfbench" / "hypothesis_1100000.json"
+    pinned = json.loads(pinned_file.read_text())
+    one, two = (run_module("hypothesis", "--limit", "1100000", "--jobs", jobs) for jobs in ("1", "2"))
+    assert (one.returncode, two.returncode) == (0, 0), one.stderr + two.stderr
+    assert one.stdout == two.stdout
+    assert json.loads(one.stdout)["exceptional"] == pinned
 
 
 def test_hypothesis_limit_past_int64_lanes_fails_fast():
@@ -594,6 +620,27 @@ def test_commands_without_pool_do_not_import_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * 5
+
+
+def test_main_freezes_the_import_heap():
+    # so that no collection, the one at exit included, walks numpy's and
+    # sfpr's module objects again; importing sfpr alone leaves gc as it was
+    code = (
+        "import contextlib, gc, io, json\n"
+        "from sfpr.cli import main\n"
+        "gc.collect()  # the import's garbage, so that none is freed during main\n"
+        "frozen, imported = gc.get_freeze_count(), len(gc.get_objects()) - 1  # less the list\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['least', '--p', '101'])\n"
+        "print(json.dumps([code, frozen, imported, gc.get_freeze_count()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, frozen, imported, after = json.loads(proc.stdout)
+    assert (code, frozen) == (0, 0)
+    assert after >= imported > 10_000
 
 
 def test_profile_csv(capsys):
