@@ -18,7 +18,9 @@ is evaluated by two independent routes that must agree.
 
   a1 = (3/2 + delta)/2, a2 = a1 - 1, Q(a, x) = Gamma(a, x)/Gamma(a) the
   regularized upper incomplete gamma. Terms decay like exp(-pi n^2/p), so
-  about 3 sqrt(p) of them reach machine precision. The tail certificate
+  about 3 sqrt(p) of them reach machine precision. Their symbols chi2(n)
+  come from Euler's criterion (arith.legendre_at), so this route needs only
+  p, no PrimeContext and no table of length p. The tail certificate
   comes from Gamma(a, x) <= x^{a-1} e^{-x} (1 + max(a-1, 0)/x) for a <= 2:
   the bounds on the terms fall at least geometrically, and tests assert the
   certificate, not just the value. Gamma(a, x) comes from its power series
@@ -28,7 +30,9 @@ is evaluated by two independent routes that must agree.
   C_p = 2 p^{-3/2} sum_{a nonres mod p} zeta(3/2, a/p), a finite sum of
   (p-1)/2 positive Hurwitz zeta values. Each value comes from the
   Euler-Maclaurin formula (Johansson, Numer. Algorithms 69, 2015) with a
-  certified remainder, reported as the route's tail bound.
+  certified remainder, reported as the route's tail bound. The classes come
+  from the table of squares (PrimeContext.qr_signs), so the two routes
+  share no source of symbols.
 
 Writing n = k^2 m with m square-free (p never divides a non-residue, so
 p | k is excluded) gives
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .characters import PrimeContext, build_context
+from .characters import PrimeContext
 from .charsums import sum_char_squarefull
 from .counting import count_by_target
 
@@ -156,12 +160,13 @@ def _upper_gamma_bound(a: float, x: np.ndarray) -> np.ndarray:
     return x ** (a - 1.0) * np.exp(-x) * (1.0 + max(a - 1.0, 0.0) / x)
 
 
-def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
+def L_quadratic(p: int, tol: float = _L_TOL) -> SeriesValue:
     """L(3/2, chi2) by the theta-function functional equation, truncated
-    at the first n where the certified tail drops to tol or below."""
+    at the first n where the certified tail drops to tol or below; the
+    symbols chi2(n) of those n come from arith.legendre_at, so p may be any
+    odd prime up to arith.MAX_INT64_MODULUS."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    p = ctx.p
     delta = p % 4 == 3
     a1 = (1.5 + delta) / 2.0
     a2 = a1 - 1.0
@@ -184,7 +189,7 @@ def L_quadratic(ctx: PrimeContext, tol: float = _L_TOL) -> SeriesValue:
         raise ArithmeticError(f"L(3/2, chi2) tail bound never reached {tol} at p={p}")
     terms = int(fits[0]) + 1
     n, x = n[:terms], x[:terms]
-    chi = ctx.qr_signs[np.arange(1, terms + 1) % p].astype(np.float64)
+    chi = arith.legendre_at(np.arange(1, terms + 1), p).astype(np.float64)
     # one incomplete gamma gives both: Gamma(a1, x) = a2 Gamma(a2, x) + x^a2 e^{-x},
     # taken upward from a2 = 1/4, or downward to a2 = -1/4 as the reverse step
     power = x**a2 * np.exp(-x)
@@ -265,10 +270,10 @@ def _cp_direct(ctx: PrimeContext) -> tuple[float, float, int]:
     return scale * float(np.sum(values)), scale * float(np.sum(remainders)), nonres.size
 
 
-def _cp_closed(ctx: PrimeContext, tol: float = _L_TOL) -> tuple[float, SeriesValue]:
+def _cp_closed(p: int, tol: float = _L_TOL) -> tuple[float, SeriesValue]:
     """zeta(3/2)(1 - p^{-3/2}) - L(3/2, chi2), and the L value."""
-    lval = L_quadratic(ctx, tol)
-    return zeta(1.5) * (1.0 - ctx.p**-1.5) - lval.value, lval
+    lval = L_quadratic(p, tol)
+    return zeta(1.5) * (1.0 - p**-1.5) - lval.value, lval
 
 
 # the default agreement tolerance of the two C_p routes, beyond their certificates
@@ -282,7 +287,7 @@ def compute_Cp(ctx: PrimeContext, tol: float = CP_TOLERANCE) -> CpReport:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     direct, direct_bound, n_direct = _cp_direct(ctx)
-    closed, lval = _cp_closed(ctx, min(tol, _L_TOL))
+    closed, lval = _cp_closed(ctx.p, min(tol, _L_TOL))
     residual = abs(direct - closed)
     if residual > tol + lval.tail_bound + direct_bound:
         raise ArithmeticError(f"C_p routes disagree by {residual} at p={ctx.p}")
@@ -294,12 +299,10 @@ def compute_Cp(ctx: PrimeContext, tol: float = CP_TOLERANCE) -> CpReport:
 CP_LOWER_EXPONENT = 1.0 / (8.0 * math.sqrt(math.e))
 
 
-def cp_lower_ratio(ctx: PrimeContext, cp: float | None = None) -> float:
-    """C_p / p^{-1/(8 sqrt e)}, the lower-bound margin with implied
-    constant 1."""
-    if cp is None:
-        cp = _cp_closed(ctx)[0]
-    return cp * ctx.p**CP_LOWER_EXPONENT
+def cp_lower_ratio(p: int, cp: float) -> float:
+    """C_p / p^{-1/(8 sqrt e)} for C_p = cp, the lower-bound margin with
+    implied constant 1."""
+    return cp * p**CP_LOWER_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -313,9 +316,11 @@ class SweepResult:
 
 def cp_ratio_sweep(limit: int) -> SweepResult:
     """cp_lower_ratio over all odd primes <= limit, each from the closed
-    route at full precision."""
-    primes = [int(q) for q in arith.sieve_primes(limit)[1:]]
-    ratios = [cp_lower_ratio(build_context(p)) for p in primes]
+    route at full precision; no prime builds a PrimeContext."""
+    if limit < 3:
+        raise ValueError("need limit >= 3")
+    primes = arith.sieve_primes(limit)[1:].tolist()
+    ratios = [cp_lower_ratio(p, _cp_closed(p)[0]) for p in primes]
     k = int(np.argmin(ratios))
     below = tuple((p, r) for p, r in zip(primes, ratios) if r <= 1.0)
     return SweepResult(limit, len(primes), ratios[k], primes[k], below)
@@ -408,7 +413,7 @@ def squarefull_pr_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     x^{1/3} log x p^{1/9} (log p)^{1/6} 2^{omega(p-1)}.
     """
     p = ctx.p
-    leading = _cp_closed(ctx)[0] * math.sqrt(x) / _squarefull_denominator(p)
+    leading = _cp_closed(p)[0] * math.sqrt(x) / _squarefull_denominator(p)
     exact = count_by_target(ctx, x, "squarefull", method="brute").brute_count
     env = (
         x ** (1.0 / 3.0)
@@ -432,7 +437,7 @@ def squarefull_charsum_main_term(ctx: PrimeContext, x: int, case: str) -> MainTe
     p = ctx.p
     denom = _squarefull_denominator(p)
     if case == "quadratic":
-        leading = L_quadratic(ctx).value / denom * math.sqrt(x)
+        leading = L_quadratic(p).value / denom * math.sqrt(x)
         secondary = 0.0
         j = (p - 1) // 2
         env = x**0.25 * math.sqrt(math.log(x)) * p ** (3.0 / 32.0)
@@ -459,13 +464,10 @@ def prime_powerful_main_term(ctx: PrimeContext, x: int) -> MainTermBreakdown:
     """
     if x < 8:
         raise ValueError("need x >= 8")
-    signs = ctx.qr_signs
-    leading = 0.0
+    rs = arith.sieve_primes(arith.icbrt(x))
     rx = math.sqrt(x)
-    for r in arith.sieve_primes(arith.icbrt(x)):
-        r = int(r)
-        if signs[r % ctx.p] >= 0:
-            continue
+    leading = 0.0
+    for r in rs[arith.legendre_at(rs, ctx.p) < 0].tolist():  # ascending r fixes the sum's rounding
         arg = rx / r**1.5
         if arg >= 2.0:
             leading += li(arg)
@@ -541,7 +543,7 @@ def constants_report(ctx: PrimeContext, tol: float = CP_TOLERANCE) -> ConstantsR
         L_three_halves_quadratic=rep.L_three_halves_quadratic,
         zeta3=zeta(3.0),
         zeta_two_thirds=zeta(2.0 / 3.0),
-        cp_lower_ratio=cp_lower_ratio(ctx, rep.closed),
+        cp_lower_ratio=cp_lower_ratio(ctx.p, rep.closed),
         cp_identity_residual=rep.residual,
         cp_direct_tail_bound=rep.direct_tail_bound,
         l_tail_bound=rep.closed_tail_bound,

@@ -3,8 +3,8 @@ functions, Legendre symbols, and primitive-root tests.
 
 Everything here works on plain Python ints (arbitrary precision, so modular
 products never overflow) with numpy reserved for bulk sieves and tables. The
-lane functions (pow_mod_lanes, prime_factors_lanes, legendre_lanes) apply one
-operation to a whole int64 array of moduli at once; they are exact for moduli
+lane functions (pow_mod_lanes, prime_factors_lanes, legendre_lanes, legendre_at)
+apply one operation to a whole int64 array at once; they are exact for moduli
 up to MAX_INT64_MODULUS, where a product of two residues stays below 2^63.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
     "pow_mod_lanes",
     "prime_factors_lanes",
     "legendre_lanes",
+    "legendre_at",
 ]
 
 # Deterministic Miller-Rabin witness sets. 1 373 653 and 3 215 031 751 are
@@ -343,3 +344,12 @@ def legendre_lanes(ell: int, ps: np.ndarray) -> np.ndarray:
     """(ell|p) as int8 for every odd prime p of the int64 array ps, ell a
     prime, looked up from p mod 4 ell; 0 where p = ell."""
     return _reciprocity_table(ell)[ps % (4 * ell)]
+
+
+def legendre_at(ns: np.ndarray, p: int) -> np.ndarray:
+    """(n|p) as int8 for every n of the 1-D int64 array ns by Euler's
+    criterion, n^((p-1)/2) mod p in one pow_mod_lanes call; 0 where p | n."""
+    if not (2 < p <= MAX_INT64_MODULUS and is_prime(p)):  # past the bound the lanes are inexact
+        raise ValueError(f"need an odd prime p <= MAX_INT64_MODULUS = {MAX_INT64_MODULUS}, got {p}")
+    r = pow_mod_lanes(ns, np.full(len(ns), p // 2), np.full(len(ns), p))
+    return np.where(r == p - 1, -1, r).astype(np.int8)  # r is 0, 1 or p - 1

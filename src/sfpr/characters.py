@@ -20,7 +20,9 @@ refuses p, first too). Every table is a cached property, built on its first
 read; a context stays lightweight until something asks for one. The
 Legendre-symbol table needs no logs and serves p up to MAX_QR_P = 2^24,
 where the constants report built on it peaks under 1 GB; above it qr_signs
-raises ValueError before allocating anything.
+raises ValueError before allocating anything. Of the program only the
+direct C_p route reads it; the closed route and the q^2 r^3 main term take
+their few symbols from Euler's criterion (arith.legendre_at).
 
 Character values are read through PrimeContext.values: the roots of unity
 gathered at j ind(m) mod p-1 for a matrix of characters j and points m.

@@ -109,7 +109,7 @@ def run_constants_suite(progress=None) -> dict:
             (0.0 < rep.closed < 2.0 * zeta(1.5), 0.0),
             (collapse < 1e-10, collapse),
             (c <= rep.closed, 0.0),
-            (cp_lower_ratio(ctx, rep.closed) > 0.0, 0.0),
+            (cp_lower_ratio(p, rep.closed) > 0.0, 0.0),
         ]
         if progress:
             progress(i + 1, len(primes))

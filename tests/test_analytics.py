@@ -10,6 +10,7 @@ None of these share code with the implementations under test.
 
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from scipy.special import expi
 from scipy.special import zeta as scipy_hurwitz
 
-from sfpr import analytics, arith
+from sfpr import analytics, arith, characters, counting, verify
 from sfpr.analytics import (
     ConstantsReport,
     L_quadratic,
@@ -35,7 +36,7 @@ from sfpr.analytics import (
     squarefull_pr_main_term,
     zeta,
 )
-from sfpr.characters import build_context
+from sfpr.characters import PrimeContext, build_context
 from sfpr.charsums import sum_char_squarefull
 
 mp.mp.dps = 25
@@ -164,7 +165,7 @@ def test_hurwitz_zeta_remainder_bound(q):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_L_quadratic_vs_hurwitz(p):
-    got = L_quadratic(build_context(p))
+    got = L_quadratic(p)
     assert got.tail_bound < 1e-9
     assert got.value == pytest.approx(hurwitz_L(p), abs=2e-9)
 
@@ -172,32 +173,49 @@ def test_L_quadratic_vs_hurwitz(p):
 # both classes mod 4; p = 1 mod 4 takes the Gamma(-1/4, x) recurrence
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_L_quadratic_tight_vs_hurwitz(p):
-    assert L_quadratic(build_context(p)).value == pytest.approx(hurwitz_L(p), abs=1e-13)
+    assert L_quadratic(p).value == pytest.approx(hurwitz_L(p), abs=1e-13)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_L_coarse_error_within_certificate(p):
-    got = L_quadratic(build_context(p), tol=1e-5)
+    got = L_quadratic(p, tol=1e-5)
     assert got.tail_bound <= 1e-5
     assert abs(got.value - hurwitz_L(p)) <= got.tail_bound
 
 
 def test_L_quadratic_frozen_p3():
-    assert L_quadratic(build_context(3)).value == pytest.approx(0.7039682448687333, abs=2e-9)
+    assert L_quadratic(3).value == pytest.approx(0.7039682448687333, abs=2e-9)
 
 
 def test_L_certificate_consistency():
-    ctx = build_context(11)
-    coarse = L_quadratic(ctx, tol=1e-5)
-    fine = L_quadratic(ctx, tol=1e-10)
+    coarse = L_quadratic(11, tol=1e-5)
+    fine = L_quadratic(11, tol=1e-10)
     assert coarse.tail_bound < 1e-5
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
     assert coarse.terms < fine.terms
 
 
+def test_L_quadratic_past_max_qr_p_in_small_memory():
+    # the closed route reads no table of p symbols: at the first prime past
+    # MAX_QR_P, which qr_signs refuses, it needs a few MB
+    p = 16777259
+    assert arith.is_prime(p) and not any(map(arith.is_prime, range(characters.MAX_QR_P, p)))
+    with pytest.raises(ValueError, match="MAX_QR_P"):
+        build_context(p).qr_signs
+    tracemalloc.start()
+    try:
+        got = L_quadratic(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.terms == 12109 and got.tail_bound <= 1e-15
+    assert 0.0 < got.value < zeta(1.5)
+    assert peak <= 8 << 20
+
+
 def test_L_dominated_by_zeta():
     for p in (3, 7, 101):
-        assert abs(L_quadratic(build_context(p), tol=1e-6).value) <= zeta(1.5)
+        assert abs(L_quadratic(p, tol=1e-6).value) <= zeta(1.5)
 
 
 # -- C_p ---------------------------------------------------------------------
@@ -256,7 +274,7 @@ def test_cp_large_p_vs_hurwitz():
 def test_cp_lower_ratio_formula():
     ctx = build_context(7)
     cp = compute_Cp(ctx).closed
-    assert cp_lower_ratio(ctx, cp) == pytest.approx(cp * 7 ** (1 / (8 * math.sqrt(math.e))), rel=1e-12)
+    assert cp_lower_ratio(7, cp) == pytest.approx(cp * 7 ** (1 / (8 * math.sqrt(math.e))), rel=1e-12)
 
 
 def test_cp_ratio_sweep_small():
@@ -270,6 +288,62 @@ def test_cp_ratio_sweep_small():
     assert all(r <= 1.0 for _, r in sw.below_one)
     ps = [p for p, _ in sw.below_one]
     assert ps == sorted(ps)
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_cp_ratio_sweep_refuses_limit_below_3(limit):
+    with pytest.raises(ValueError, match="need limit >= 3"):
+        cp_ratio_sweep(limit)
+
+
+def test_cp_ratio_sweep_builds_no_context(monkeypatch):
+    # the closed route needs only p: no PrimeContext and no table of p symbols
+    def refuse(*args):
+        raise AssertionError("the sweep read a PrimeContext")
+
+    for module in (characters, analytics, counting, verify):
+        if hasattr(module, "build_context"):
+            monkeypatch.setattr(module, "build_context", refuse)
+    monkeypatch.setattr(PrimeContext, "qr_signs", property(refuse))
+    sw = cp_ratio_sweep(2000)
+    assert (sw.primes_checked, sw.argmin_p, len(sw.below_one)) == (302, 1559, 18)
+    assert sw.min_ratio == pytest.approx(0.674376752943, abs=1e-6)
+
+
+def test_cp_symbol_ledger(monkeypatch):
+    # the two C_p routes share no symbol source: the closed one reads Euler's
+    # criterion (arith.legendre_at), the direct one the table of squares
+    read = set()
+    legendre_at, qr_signs = arith.legendre_at, PrimeContext.qr_signs.func
+    monkeypatch.setattr(arith, "legendre_at", lambda ns, p: read.add("legendre_at") or legendre_at(ns, p))
+    monkeypatch.setattr(PrimeContext, "qr_signs", property(lambda c: read.add("qr_signs") or qr_signs(c)))
+    ctx = build_context(101)
+    routes = {"closed": lambda: analytics._cp_closed(101), "direct": lambda: analytics._cp_direct(ctx)}
+    reads = {}
+    for route, run in routes.items():
+        read.clear()
+        run()
+        reads[route] = set(read)
+    assert reads == {"closed": {"legendre_at"}, "direct": {"qr_signs"}}
+
+
+def _flip_two(signs, ns, p):
+    """signs with the symbol of every n = 2 mod p negated: (2|p) flipped."""
+    signs = signs.copy()
+    signs[ns % p == 2] *= -1
+    return signs
+
+
+@pytest.mark.parametrize("source", ["legendre_at", "qr_signs"])
+def test_cp_routes_catch_a_flipped_symbol(monkeypatch, source):
+    legendre_at, qr_signs = arith.legendre_at, PrimeContext.qr_signs.func
+    if source == "legendre_at":
+        monkeypatch.setattr(arith, "legendre_at", lambda ns, p: _flip_two(legendre_at(ns, p), ns, p))
+    else:
+        table = property(lambda c: _flip_two(qr_signs(c), np.arange(c.p), c.p))
+        monkeypatch.setattr(PrimeContext, "qr_signs", table)
+    with pytest.raises(ArithmeticError, match="C_p routes disagree"):
+        compute_Cp(build_context(101))
 
 
 def test_cp_ratio_sweep_1e5(cp_sweep_1e5):
@@ -447,4 +521,4 @@ def test_constants_report_prints_the_computed_L(p):
     # the L value itself, not zeta(3/2)(1 - p^{-3/2}) - C_p, which is one
     # rounding off it at p = 101
     ctx = build_context(p)
-    assert constants_report(ctx).L_three_halves_quadratic == L_quadratic(ctx).value
+    assert constants_report(ctx).L_three_halves_quadratic == L_quadratic(p).value

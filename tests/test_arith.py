@@ -431,3 +431,22 @@ class TestLanes:
         ps = arith.sieve_primes(20000)[1:]
         got = arith.legendre_lanes(ell, ps)
         assert got.tolist() == [oracle_legendre(ell, int(p)) for p in ps]
+
+    # 3037000493 is the largest prime up to MAX_INT64_MODULUS = 3037000499
+    @pytest.mark.parametrize("p", [3, 5, 1000003, 3037000493])
+    def test_legendre_at_by_euler(self, p):
+        rng = np.random.default_rng(p % 1009)
+        ns = np.concatenate([[1, 2, p - 1, p, 2 * p], rng.integers(1, 3 * p, 300)])
+        got = arith.legendre_at(ns, p)
+        assert got.dtype == np.int8
+        assert oracle_is_prime(p)
+        euler = [pow(n, (p - 1) // 2, p) for n in ns.tolist()]
+        assert got.tolist() == [t - p if t > 1 else t for t in euler]
+
+    def test_legendre_at_refuses_past_the_bound(self):
+        top = arith.MAX_INT64_MODULUS
+        assert oracle_is_prime(3037000493) and not any(map(oracle_is_prime, range(3037000494, top + 1)))
+        assert oracle_is_prime(3037000507)
+        for p in (3037000507, 2, 9, 1):
+            with pytest.raises(ValueError, match="odd prime"):
+                arith.legendre_at(np.array([1, 2], dtype=np.int64), p)

@@ -202,6 +202,15 @@ class TestContext:
             for a in range(p):
                 assert int(signs[a]) == oracle_legendre(a, p)
 
+    def test_qr_signs_match_euler_lanes_to_three_root_p(self):
+        # the closed C_p route reads arith.legendre_at up to about 3 sqrt(p),
+        # the direct one this table: the two sources agree where both are read
+        rng = random.Random(31)
+        ps = rng.sample(arith.sieve_primes(10**6)[1:].tolist(), 64)
+        for p in ps:
+            ns = np.arange(1, 3 * math.isqrt(p) + 2)
+            assert arith.legendre_at(ns, p).tolist() == build_context(p).qr_signs[ns % p].tolist(), p
+
 
 class TestCharacterValues:
     def test_principal_values(self):

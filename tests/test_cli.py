@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sfpr
-from sfpr import analytics, arith, cli, verify
+from sfpr import analytics, arith, cli, counting, verify
 from sfpr.characters import MAX_LOG_P, MAX_QR_P
 from sfpr.cli import _parse_grid, main
 from sfpr.counting import FAMILIES, METHODS
@@ -119,13 +119,33 @@ def test_count_bad_x(capsys):
     assert code == 1
 
 
-def test_count_tolerance_exceeded(capsys, monkeypatch):
-    # a residual far past the default tolerance trips the gate
+@pytest.mark.parametrize("tolerance", [(), ("--tolerance", "1")])
+def test_count_tolerance_exceeded(capsys, monkeypatch, tolerance):
+    # a residual far past the default tolerance trips the gate, and a residual
+    # of 1 trips it even where the tolerance scaled by the characters allows it
     count = cli.count_by_target
     monkeypatch.setattr(cli, "count_by_target", lambda *a: dataclasses.replace(count(*a), residual=1.0))
-    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108")
+    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108", *tolerance)
     assert code == 2
     assert json.loads(out)["brute_count"] == 1
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("target", list(FAMILIES))
+@pytest.mark.parametrize("route, plant", [("_brute_count", 1), ("_charsum_count", -1)])
+def test_count_off_by_one_fails_at_large_rad(capsys, monkeypatch, target, route, plant):
+    # at p = 1000003, R = p - 1 = 2 * 3 * 166667 and the default bound is
+    # 1.000002, so only the half-unit gate sees a count that is one off
+    real = getattr(counting, route)
+
+    def planted(*args):
+        got = real(*args)
+        return got + plant if route == "_brute_count" else (got[0] + plant, got[1])
+
+    monkeypatch.setattr(counting, route, planted)
+    code, out, err = run_cli(capsys, "count", "--p", "1000003", "--x", "1000", "--target", target)
+    assert code == 2
+    assert json.loads(out)["characters_used"] == 1000002
     assert "tolerance" in err
 
 
