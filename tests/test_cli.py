@@ -119,13 +119,21 @@ def test_count_bad_x(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("tolerance", [(), ("--tolerance", "1")])
-def test_count_tolerance_exceeded(capsys, monkeypatch, tolerance):
-    # a residual far past the default tolerance trips the gate, and a residual
-    # of 1 trips it even where the tolerance scaled by the characters allows it
+def test_count_tolerance_exceeded(capsys, monkeypatch):
+    # a residual far past the default tolerance trips the gate
     count = cli.count_by_target
     monkeypatch.setattr(cli, "count_by_target", lambda *a: dataclasses.replace(count(*a), residual=1.0))
-    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108", *tolerance)
+    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108")
+    assert code == 2
+    assert json.loads(out)["brute_count"] == 1
+    assert "tolerance" in err
+
+
+def test_count_half_unit_gate_overrides_tolerance(capsys, monkeypatch):
+    # a residual of 1 trips the gate even where --tolerance 1 allows it
+    count = cli.count_by_target
+    monkeypatch.setattr(cli, "count_by_target", lambda *a: dataclasses.replace(count(*a), residual=1.0))
+    code, out, err = run_cli(capsys, "count", "--p", "7", "--x", "108", "--tolerance", "1")
     assert code == 2
     assert json.loads(out)["brute_count"] == 1
     assert "tolerance" in err
