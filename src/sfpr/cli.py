@@ -5,9 +5,11 @@ CSV goes to tabular scans, JSON to single-query reports. Progress lines go
 to stderr only; stdout stays pipeline-clean and byte-deterministic for a
 fixed invocation regardless of worker count and core count. Each process
 runs numpy's BLAS on one thread, so the --jobs pool is the only parallelism,
-and `main` first freezes the import heap (gc.freeze): no collection walks its
-~21 600 objects again, not even at exit (14 of a count's 19 ms exit), and pool
-workers fork from it; done in `main` so that importing sfpr leaves gc as it was.
+and `main` freezes the import heap (gc.freeze) once the arguments are parsed:
+no collection walks its ~21 600 objects again, not even at exit (14 of a
+count's 19 ms exit), and pool workers fork from it; done in `main` so that
+importing sfpr leaves gc as it was. A command that may start the pool imports
+multiprocessing before the freeze; the others never import it.
 
 Exit codes: 0 success, 1 usage or domain error or out of memory, 2
 verification failure.
@@ -240,9 +242,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) != 1:  # scan or hypothesis may start the pool
+        import multiprocessing  # so that the freeze takes its modules too
     gc.freeze()  # the import heap; see the module docstring
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         with _output(args.out) as args.out:
             return args.fn(args)

@@ -5,6 +5,11 @@ ascending enumeration merges the arithmetic streams {a^2 b^3 : a >= 1}, one per
 admissible b, through a heap. The prime-powerful subset {q^2 r^3 : q, r prime}
 keeps q = r, so fifth powers of primes are members.
 
+The x-only enumerations are built once per process: squarefree_table(x) is a
+read-only slice of one table, sieved again only for an x above every earlier
+one (t(x) is a prefix of t(y) for y >= x), and the three run builders are
+memoized by x, their arrays read-only, so no caller can corrupt a shared result.
+
 The walk histograms h[k], the number of a family's members m <= x with
 m = k mod p, visit the members themselves in one numpy pass; they use neither
 Mobius inversion nor periodicity mod p, so they check the routes that do.
@@ -12,6 +17,7 @@ Mobius inversion nor periodicity mod p, so they check the routes that do.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -33,14 +39,25 @@ __all__ = [
 ]
 
 
+_squarefree = np.zeros(1, dtype=bool)  # one per process, the largest so far
+# memo size of the run builders: a count's routes ask for one x up to three
+# times in a row, and verify's identity suite cycles three x per prime
+_RUNS_MEMO = 8
+
+
 def squarefree_table(x: int) -> np.ndarray:
-    """Boolean table t[m] = mu^2(m) for 0 <= m <= x."""
-    t = np.ones(x + 1, dtype=bool)
-    t[0] = False
-    if x >= 4:
-        for q in arith.sieve_primes(math.isqrt(x)):
-            t[q * q :: q * q] = False
-    return t
+    """Boolean table t[m] = mu^2(m) for 0 <= m <= x, read-only: a slice of one
+    table per process, built again only for an x above every earlier one."""
+    global _squarefree
+    if x >= len(_squarefree):
+        t = np.ones(x + 1, dtype=bool)
+        t[0] = False
+        if x >= 4:
+            for q in arith.sieve_primes(math.isqrt(x)):
+                t[q * q :: q * q] = False
+        t.flags.writeable = False
+        _squarefree = t
+    return _squarefree[: x + 1]
 
 
 def squarefree_numbers() -> Iterator[int]:
@@ -62,21 +79,30 @@ def squarefull_stream() -> Iterator[int]:
         yield v
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_RUNS_MEMO)
 def squarefree_runs(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, X, mu): the square-free d <= sqrt(x), X = x // d^2 multiples of d^2
     up to x, and mu(d) as int8, the runs of mu^2(m) = sum_{d^2 | m} mu(d)."""
     mu = arith.mobius_table(math.isqrt(x))
     d = np.flatnonzero(mu)
-    return d, x // (d * d), mu[d]
+    return _read_only(d, x // (d * d), mu[d])
 
 
+@functools.lru_cache(maxsize=_RUNS_MEMO)
 def squarefull_runs(x: int) -> tuple[np.ndarray, np.ndarray]:
     """(b, A): every square-free b <= x^(1/3) and A[i] = isqrt(x // b[i]^3),
     the number of square-full a^2 b[i]^3 <= x."""
     b = np.flatnonzero(squarefree_table(arith.icbrt(x)))
-    return b, np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64)
+    return _read_only(b, np.array([math.isqrt(x // int(v) ** 3) for v in b], dtype=np.int64))
 
 
+@functools.lru_cache(maxsize=_RUNS_MEMO)
 def prime_powerful_runs(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, r, K): the primes q <= max(sqrt(x/8), x^(1/3), 2), the primes r <= x^(1/3)
     and K[i] = |{q : q^2 r[i]^3 <= x}|; the members are the runs q[:K[i]]^2 r[i]^3."""
@@ -84,7 +110,7 @@ def prime_powerful_runs(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = arith.sieve_primes(max(math.isqrt(x // 8), rmax, 2))
     r = q[: np.searchsorted(q, rmax, side="right")]
     qmax = np.array([math.isqrt(x // int(v) ** 3) for v in r], dtype=np.int64)
-    return q, r, np.searchsorted(q, qmax, side="right")
+    return _read_only(q, r, np.searchsorted(q, qmax, side="right"))
 
 
 _RUN_CHUNK = 1 << 20  # entries per vectorised batch of add_runs

@@ -671,6 +671,30 @@ def test_main_freezes_the_import_heap():
     assert after >= imported > 10_000
 
 
+@pytest.mark.parametrize(
+    "argv, pooled",
+    [(["scan", "--from", "3", "--to", "100000", "--jobs", "2"], True), (["least", "--p", "101"], False)],
+)
+def test_pool_imported_before_the_freeze(argv, pooled):
+    # a command that starts the --jobs pool imports multiprocessing before
+    # the freeze, so that its modules are frozen too; the others never do
+    code = (
+        "import contextlib, gc, io, json, sys\n"
+        "from sfpr.cli import main\n"
+        "seen = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (seen.append('multiprocessing' in sys.modules), freeze())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, seen]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [pooled]]
+
+
 def test_profile_csv(capsys):
     code, out, _ = run_cli(
         capsys, "profile", "--p", "7", "--target", "prop42", "--x-grid", "1e2:1e4:10"

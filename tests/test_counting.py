@@ -367,6 +367,27 @@ def test_charsum_check_rejects_wrong_spectrum(monkeypatch):
         count_by_target(ctx, 10**4, "squarefull", method="charsum")
 
 
+@pytest.mark.parametrize(
+    "planted, named",
+    [({3: 1, 7: 1}, "chi_30"), ({7: np.nan}, "chi_70"), ({5: np.nan, 6: 1}, "chi_50")],
+)
+def test_charsum_check_names_first_wrong_character(monkeypatch, planted, named):
+    # at p = 101 every one of the R = 10 characters k, chi_{10 k}, is checked;
+    # the first wrong one past k = 0 in their order is named, and a NaN is wrong
+    ctx = build_context(101)
+    good = family_charsums
+
+    def planted_errors(ctx, x, target):
+        sums = good(ctx, x, target)
+        for k, err in planted.items():
+            sums[k] += err
+        return sums
+
+    monkeypatch.setattr(counting, "family_charsums", planted_errors)
+    with pytest.raises(ArithmeticError, match=f"{named} mod 101"):
+        count_by_target(ctx, 10**4, "squarefull", method="charsum")
+
+
 def test_checked_characters_fixed_sample():
     # k indexes the R = rad(p - 1) characters of pr_decomposition
     assert counting._checked_characters(11, 10, 100, "S") == list(range(10))
@@ -462,6 +483,9 @@ def _routes_read(monkeypatch, ctx, x, target):
 
         return wrapper
 
+    # the run builders are memoized by x: a hit skips what they read, so each
+    # route starts from empty memos and every read shows at any depth
+    memos = (squarefull.squarefull_runs, squarefull.squarefree_runs, squarefull.prime_powerful_runs)
     for name in ENUMERATIONS:
         monkeypatch.setattr(squarefull, name, spy(name, getattr(squarefull, name)))
     charsum = counting.FAMILIES[target][2]
@@ -474,6 +498,8 @@ def _routes_read(monkeypatch, ctx, x, target):
     out = {}
     for route, run in routes.items():
         read.clear()
+        for memo in memos:
+            memo.cache_clear()
         run()
         out[route] = set(read)
     return out

@@ -3,6 +3,7 @@ asymptotic sanity."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ def oracle_is_squarefull(n):
                 return False
         d += 1
     return n == 1
+
+
+def oracle_is_squarefree(n):
+    return n >= 1 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
 
 
 def squarefull_upto(x):
@@ -90,6 +95,36 @@ class TestSquarefreeTable:
         sf = squarefull.squarefree_table(100)
         both = [n for n in SQUAREFULL_TO_100 if sf[n]]
         assert both == [1]
+
+
+class TestOncePerProcess:
+    # squarefree_table is a slice of one grow-only table; the run builders are
+    # memoized by x; every array either hands out is read-only
+    RUNS = (squarefull.squarefree_runs, squarefull.squarefull_runs, squarefull.prime_powerful_runs)
+    XS = [1, 7, 8, 27, 10**6, *random.Random(0).sample(range(2, 10**6), 32)]
+
+    def test_table_grows_as_a_prefix(self, monkeypatch):
+        monkeypatch.setattr(squarefull, "_squarefree", np.zeros(1, dtype=bool))
+        want = [oracle_is_squarefree(m) for m in range(3001)]
+        for x in (0, 1000, 3000, 1000, 7):
+            assert squarefull.squarefree_table(x).tolist() == want[: x + 1], x
+        assert len(squarefull._squarefree) == 3001
+
+    @pytest.mark.parametrize("build", RUNS, ids=lambda f: f.__name__)
+    def test_memo_matches_uncached_body(self, build):
+        for x in self.XS:
+            for got in (build(x), build(x)):  # a miss or a hit, then a hit
+                want = build.__wrapped__(x)
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want)), x
+
+    @pytest.mark.parametrize("build", [*RUNS, squarefull.squarefree_table], ids=lambda f: f.__name__)
+    def test_returned_arrays_read_only(self, build):
+        for x in (1, 8, 10**4):
+            out = build(x)
+            for a in out if isinstance(out, tuple) else (out,):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
 
 
 @pytest.mark.parametrize("p, x", [(3, 10**4 + 7), (101, 10**5), (4003, 10**6 + 1)])
